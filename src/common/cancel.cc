@@ -9,8 +9,7 @@ Status CancelToken::ToStatus() const {
     case Reason::kCancelled:
       return Status::Cancelled("operation cancelled");
     case Reason::kDeadline:
-      return Status::DeadlineExceeded(
-          "deadline exceeded during evaluation");
+      return Status::DeadlineExceeded("operation passed its deadline");
     case Reason::kResourceExhausted:
       return Status::ResourceExhausted(
           "evaluation exceeded its memory budget (peak arena bytes: " +

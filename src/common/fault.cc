@@ -1,12 +1,11 @@
 #include "common/fault.h"
 
-#ifdef SPANNERS_FAULTS_ENABLED
-
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -307,5 +306,3 @@ uint64_t HitCount(const std::string& point) {
 
 }  // namespace fault
 }  // namespace spanners
-
-#endif  // SPANNERS_FAULTS_ENABLED

@@ -8,11 +8,9 @@
 // must unwind with a clean Status, torn-file-free storage, and balanced
 // accounting. tests/fault_test.cc sweeps every point in kPoints.
 //
-// Cost model. The subsystem is compiled OUT by default: without the
-// SPANNERS_FAULTS_ENABLED define (CMake -DSPANNERS_FAULTS=ON), the macro
-// folds to an empty Action and the whole registry disappears — the same
-// zero-cost-off contract as SPANNERS_OBS. Compiled in but unarmed, a hit
-// is one relaxed atomic load.
+// Cost model. The hooks are always compiled in and armed at run time;
+// unarmed, a hit is one relaxed atomic load. Every point sits on an I/O
+// path (a syscall per hit), never in an evaluation loop.
 //
 // Schedules are scripted with a small spec grammar, one rule per point,
 // ';'-separated (via fault::Configure, the SPANNERS_FAULT environment
@@ -46,7 +44,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
 #include "common/status.h"
@@ -75,10 +72,6 @@ inline constexpr const char* kPoints[] = {
     "client.send",    "client.recv",
 };
 inline constexpr size_t kNumPoints = sizeof(kPoints) / sizeof(kPoints[0]);
-
-#ifdef SPANNERS_FAULTS_ENABLED
-
-inline constexpr bool kCompiledIn = true;
 
 namespace internal {
 extern std::atomic<bool> g_armed;
@@ -112,30 +105,6 @@ uint64_t HitCount(const std::string& point);
 #define SPANNERS_FAULT(point)                     \
   (::spanners::fault::Armed() ? ::spanners::fault::Hit(point) \
                               : ::spanners::fault::Action{})
-
-#else  // !SPANNERS_FAULTS_ENABLED
-
-inline constexpr bool kCompiledIn = false;
-
-inline bool Armed() { return false; }
-inline Action Hit(const char*) { return Action{}; }
-inline Status Configure(const std::string&) {
-  return Status::NotSupported(
-      "fault injection is not compiled in (build with -DSPANNERS_FAULTS=ON)");
-}
-inline Status ConfigureFromEnv() {
-  const char* spec = std::getenv("SPANNERS_FAULT");
-  if (spec == nullptr || spec[0] == '\0') return Status::OK();
-  return Configure(spec);
-}
-inline void Clear() {}
-inline uint64_t FiredCount() { return 0; }
-inline uint64_t FiredCount(const std::string&) { return 0; }
-inline uint64_t HitCount(const std::string&) { return 0; }
-
-#define SPANNERS_FAULT(point) (::spanners::fault::Action{})
-
-#endif  // SPANNERS_FAULTS_ENABLED
 
 }  // namespace fault
 }  // namespace spanners

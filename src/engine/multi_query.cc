@@ -45,8 +45,7 @@ const FleetMetrics& Metrics() {
 }  // namespace
 
 MultiQueryExtractor::MultiQueryExtractor(
-    std::vector<std::shared_ptr<const ExtractionPlan>> plans,
-    bool build_shared_gate)
+    std::vector<std::shared_ptr<const ExtractionPlan>> plans)
     : plans_(std::move(plans)) {
   // The shared pass tracks ONE clause per plan — its strongest
   // (clauses()[0], longest minimum literal). Selective literals are rare
@@ -59,18 +58,6 @@ MultiQueryExtractor::MultiQueryExtractor(
   // queries).
   plan_gated_.resize(plans_.size(), 0);
   plan_has_more_clauses_.resize(plans_.size(), 0);
-  if (!build_shared_gate) {
-    // Gateless (degraded-memory) build: no combined automaton. Each plan
-    // with a prefilter instead runs its own FULL prefilter in tier 2
-    // (plan_gated_ stays 0 so tier 1's bitset is never consulted), then
-    // its DFA tier — so degraded mode still skips non-matching documents
-    // per plan, just without the shared pass. Results stay byte-identical.
-    for (size_t p = 0; p < plans_.size(); ++p)
-      plan_has_more_clauses_[p] =
-          !plans_[p]->prefilter().clauses().empty();
-    counters_ = std::make_unique<PlanCounters[]>(plans_.size());
-    return;
-  }
   std::vector<std::string> patterns;
   std::vector<std::vector<uint32_t>> plans_of_pattern;
   std::unordered_map<std::string, size_t> pattern_index;
@@ -106,23 +93,11 @@ MultiQueryExtractor::MultiQueryExtractor(
   counters_ = std::make_unique<PlanCounters[]>(plans_.size());
 }
 
-MultiQueryExtractor MultiQueryExtractor::FromCache(const PlanCache& cache,
-                                                   bool build_shared_gate) {
+MultiQueryExtractor MultiQueryExtractor::FromCache(const PlanCache& cache) {
   std::vector<std::shared_ptr<const ExtractionPlan>> plans;
   for (auto& [key, plan] : cache.ResidentPlans())
     plans.push_back(std::move(plan));
-  return MultiQueryExtractor(std::move(plans), build_shared_gate);
-}
-
-size_t MultiQueryExtractor::ApproxMemoryBytes() const {
-  size_t bytes = 0;
-  if (ac_ != nullptr) bytes += ac_->table_bytes();
-  bytes += pattern_plan_offsets_.capacity() * sizeof(uint32_t);
-  bytes += pattern_plan_ids_.capacity() * sizeof(uint32_t);
-  bytes += plan_gated_.capacity() + plan_has_more_clauses_.capacity();
-  bytes += plans_.size() * (sizeof(PlanCounters) +
-                            sizeof(std::shared_ptr<const ExtractionPlan>));
-  return bytes;
+  return MultiQueryExtractor(std::move(plans));
 }
 
 void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
@@ -245,22 +220,9 @@ std::shared_ptr<const MultiQueryExtractor> CachedFleet::Get() {
   // rebuilds — stale-forever is impossible.
   const uint64_t gen = cache_.generation();
   if (fleet_ == nullptr || built_generation_ != gen) {
-    auto fleet = std::make_shared<const MultiQueryExtractor>(
+    fleet_ = std::make_shared<const MultiQueryExtractor>(
         MultiQueryExtractor::FromCache(cache_));
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    const size_t budget =
-        memory_budget_bytes_.load(std::memory_order_relaxed);
-    if (budget > 0 && fleet->ApproxMemoryBytes() > budget) {
-      // Over budget: trade the shared tier-1 automaton (the only
-      // non-trivial allocation) for a gateless fleet and flag degraded.
-      fleet = std::make_shared<const MultiQueryExtractor>(
-          MultiQueryExtractor::FromCache(cache_, /*build_shared_gate=*/false));
-      rebuilds_.fetch_add(1, std::memory_order_relaxed);
-      degraded_.store(true, std::memory_order_relaxed);
-    } else {
-      degraded_.store(false, std::memory_order_relaxed);
-    }
-    fleet_ = std::move(fleet);
     built_generation_ = gen;
   }
   return fleet_;

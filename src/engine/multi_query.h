@@ -57,19 +57,12 @@ class MultiQueryExtractor {
  public:
   /// Builds the shared gate over `plans` (typically PlanCache residents).
   /// Plan order is preserved and defines the output order of ExtractMulti.
-  /// With build_shared_gate=false the combined Aho–Corasick automaton is
-  /// skipped entirely — every plan falls through to its own prefilter/DFA
-  /// tiers (still byte-identical, just without the shared tier-1 pass).
-  /// That is the degraded-mode escape hatch when the automaton would
-  /// exceed a server's memory budget.
   explicit MultiQueryExtractor(
-      std::vector<std::shared_ptr<const ExtractionPlan>> plans,
-      bool build_shared_gate = true);
+      std::vector<std::shared_ptr<const ExtractionPlan>> plans);
 
   /// Convenience: every plan resident in `cache`, in deterministic
   /// (key-sorted) order.
-  static MultiQueryExtractor FromCache(const PlanCache& cache,
-                                       bool build_shared_gate = true);
+  static MultiQueryExtractor FromCache(const PlanCache& cache);
 
   size_t num_plans() const { return plans_.size(); }
   const ExtractionPlan& plan(size_t i) const { return *plans_[i]; }
@@ -102,12 +95,6 @@ class MultiQueryExtractor {
   size_t num_gate_literals() const { return gate_literals_; }
   /// Plans with at least one prefilter clause (gateable by the AC pass).
   size_t num_gated_plans() const { return gated_plans_; }
-
-  /// Fleet-owned memory beyond the shared plans: the combined automaton's
-  /// flat goto table plus the pattern→plan CSR and per-plan bookkeeping.
-  /// This is the number a serving memory budget compares against — the
-  /// plans themselves are cache residents and exist either way.
-  size_t ApproxMemoryBytes() const;
 
   /// e.g. "multi-query: 32 plans (32 literal-gated), aho-corasick: …".
   std::string ToString() const;
@@ -169,18 +156,6 @@ class CachedFleet {
   /// cache's membership generation changed. Thread-safe.
   std::shared_ptr<const MultiQueryExtractor> Get();
 
-  /// Caps the fleet's own memory (ApproxMemoryBytes). When a freshly
-  /// built fleet exceeds the budget, Get() rebuilds it without the shared
-  /// gate (a gateless fleet's footprint is near zero) and degraded()
-  /// turns true until a later rebuild fits again. 0 = unlimited.
-  void set_memory_budget(size_t bytes) {
-    memory_budget_bytes_.store(bytes, std::memory_order_relaxed);
-  }
-  /// Whether the current fleet was built gateless to satisfy the budget.
-  bool degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-
   /// Fleet constructions performed so far (1 after the first Get()).
   uint64_t rebuilds() const {
     return rebuilds_.load(std::memory_order_relaxed);
@@ -192,8 +167,6 @@ class CachedFleet {
   std::shared_ptr<const MultiQueryExtractor> fleet_;  // guarded by mu_
   uint64_t built_generation_ = 0;                     // guarded by mu_
   std::atomic<uint64_t> rebuilds_{0};
-  std::atomic<size_t> memory_budget_bytes_{0};
-  std::atomic<bool> degraded_{false};
 };
 
 }  // namespace engine

@@ -117,12 +117,11 @@ std::string EngineReport::ToText(const std::string& prefix) const {
       out += prefix + "server: DEGRADED (" + s.degraded_reason + ")\n";
     const uint64_t rejected = s.rejected_queue_full +
                               s.rejected_inflight_cap + s.rejected_draining;
-    if (rejected > 0 || s.dropped_disconnect > 0)
+    if (rejected > 0)
       out += prefix + "server: rejected " +
              std::to_string(s.rejected_queue_full) + " queue-full, " +
              std::to_string(s.rejected_inflight_cap) + " inflight-cap, " +
-             std::to_string(s.rejected_draining) + " draining; dropped " +
-             std::to_string(s.dropped_disconnect) + " disconnected\n";
+             std::to_string(s.rejected_draining) + " draining\n";
     if (s.deadline_exceeded > 0 || s.reaped_idle > 0)
       out += prefix + "server: " + std::to_string(s.deadline_exceeded) +
              " deadline-exceeded, " + std::to_string(s.reaped_idle) +
@@ -204,8 +203,6 @@ std::string EngineReport::ToJson() const {
            ",\"rejected_inflight_cap\":" +
            std::to_string(s.rejected_inflight_cap) +
            ",\"rejected_draining\":" + std::to_string(s.rejected_draining) +
-           ",\"dropped_disconnect\":" +
-           std::to_string(s.dropped_disconnect) +
            ",\"deadline_exceeded\":" + std::to_string(s.deadline_exceeded) +
            ",\"cancelled\":" + std::to_string(s.cancelled) +
            ",\"resource_exhausted\":" +

@@ -46,13 +46,11 @@ struct ServerStatsReport {
   uint64_t rejected_queue_full = 0;
   uint64_t rejected_inflight_cap = 0;
   uint64_t rejected_draining = 0;
-  /// Admitted items whose client disconnected before execution.
-  uint64_t dropped_disconnect = 0;
   /// Requests whose per-request deadline expired before (or while)
   /// executing; the client got Status::DeadlineExceeded.
   uint64_t deadline_exceeded = 0;
-  /// In-flight evaluations aborted by an external Cancel() (disconnect,
-  /// force-close) mid-execution.
+  /// In-flight work (an evaluation or a sleeping ping) aborted by an
+  /// external Cancel() (disconnect, force-close) mid-execution.
   uint64_t cancelled = 0;
   /// Evaluations aborted by the per-request arena-byte cap; the client
   /// got Status::ResourceExhausted.
@@ -67,8 +65,8 @@ struct ServerStatsReport {
   /// Age of the oldest admitted-but-unfinished item (0 when idle).
   uint64_t oldest_inflight_age_ms = 0;
   bool draining = false;
-  /// Serving in degraded mode (index unavailable or memory budget hit):
-  /// full-scan answers, still byte-identical, just slower.
+  /// Serving in degraded mode (spanexd's posting index is missing or
+  /// corrupt): full-scan answers, still byte-identical, just slower.
   bool degraded = false;
   std::string degraded_reason;
 };

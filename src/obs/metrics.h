@@ -8,9 +8,7 @@
 // pay the full walk — the hot path never does. Recording is gated on a
 // single global flag (obs::Enabled(), one relaxed load): the engine ships
 // with telemetry OFF and turns it on per run (`spanex --metrics`,
-// benchmarks, the spanexd stats endpoint). Building with
-// -DSPANNERS_OBS_DISABLED compiles the gate down to `false` so every
-// instrumentation site folds away entirely.
+// benchmarks, the spanexd stats endpoint).
 //
 // Naming convention: dot-separated, coarse-to-fine —
 //   engine.*      plan-level counters (documents, mappings, tier skips)
@@ -58,17 +56,12 @@ extern std::atomic<uint64_t> g_heap_allocs;
 }  // namespace internal
 
 /// Whether instrumentation sites record anything. Default off.
-#ifdef SPANNERS_OBS_DISABLED
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
 inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
 inline void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 /// Allocation accounting hook for operator-new overrides (benchmarks link
 /// one in). Unconditional — the counter is how the override reports, not

@@ -9,7 +9,6 @@
 #include "automata/enumerate.h"
 #include "automata/thompson.h"
 #include "common/logging.h"
-#include "rgx/analysis.h"
 #include "rules/graph.h"
 
 namespace spanners {
@@ -105,8 +104,6 @@ class TreeEvaluator {
   bool Run();
 
  private:
-  // Direct children of a variable (or of doc for kDocNode) in the tree.
-  const std::vector<VarId>& ChildrenOf(size_t node_key);
   const CompiledFormula& FormulaOf(size_t node_key);
 
   bool BuildForest(std::vector<ForestNode>* forest,
@@ -129,22 +126,10 @@ class TreeEvaluator {
   const ExtendedMapping& mu_;
   RuleGraph graph_;
 
-  std::map<size_t, std::vector<VarId>> children_;
   std::map<size_t, CompiledFormula> compiled_;
   std::vector<Item> label_;
   std::map<std::tuple<size_t, size_t, size_t>, bool> memo_;
 };
-
-const std::vector<VarId>& TreeEvaluator::ChildrenOf(size_t node_key) {
-  auto it = children_.find(node_key);
-  if (it != children_.end()) return it->second;
-  RgxPtr formula = node_key == kDocNode
-                       ? rule_.body()
-                       : rule_.ConstraintFor(static_cast<VarId>(node_key))
-                             .value_or(RgxNode::AnyStar());
-  std::vector<VarId> kids = RgxVars(formula).ids();
-  return children_.emplace(node_key, std::move(kids)).first->second;
-}
 
 const CompiledFormula& TreeEvaluator::FormulaOf(size_t node_key) {
   auto it = compiled_.find(node_key);

@@ -7,8 +7,11 @@
 //   ping           {"op":"ping","id":1}
 //                  Optional "sleep_ms":N routes the ping through the
 //                  admission queue and holds the executor N ms — the
-//                  backpressure test/bench hook; a plain ping is answered
-//                  inline and never queued or refused.
+//                  backpressure test/bench hook. The request's token
+//                  governs the sleep like any other work: a deadline, a
+//                  disconnect or a drain force-close ends it early. A
+//                  plain ping is answered inline and never queued or
+//                  refused.
 //   register       {"op":"register","id":2,"pattern":"x{[0-9]+}"}
 //                  Compiles via the server's PlanCache; the session gains
 //                  a handle → {"id":2,"ok":true,"handle":1,"plan":"…"}.

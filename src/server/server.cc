@@ -27,6 +27,9 @@ namespace {
 /// Row payload accumulated per chunk before it ships as one JSONL line.
 constexpr size_t kRowsChunkBytes = 256u << 10;
 
+/// A sleeping ping polls its token this often.
+constexpr uint64_t kSleepSliceMs = 10;
+
 uint64_t MonotonicNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -76,7 +79,6 @@ Server::Server(ServerOptions options, engine::Corpus corpus)
       cached_fleet_(cache_),
       batch_(engine::BatchOptions{options_.num_threads}) {
   InitMetrics();
-  cached_fleet_.set_memory_budget(options_.memory_budget_bytes);
 }
 
 Server::Server(ServerOptions options, storage::SegmentStore store,
@@ -88,7 +90,6 @@ Server::Server(ServerOptions options, storage::SegmentStore store,
       cached_fleet_(cache_),
       batch_(engine::BatchOptions{options_.num_threads}) {
   InitMetrics();
-  cached_fleet_.set_memory_budget(options_.memory_budget_bytes);
 }
 
 Server::~Server() {
@@ -117,19 +118,6 @@ Server::~Server() {
 
 void Server::InitMetrics() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  connections_ = reg.GetCounter("server.connections");
-  requests_ = reg.GetCounter("server.requests");
-  admitted_ = reg.GetCounter("server.admitted");
-  rejected_queue_full_ = reg.GetCounter("server.rejected_queue_full");
-  rejected_inflight_cap_ = reg.GetCounter("server.rejected_inflight_cap");
-  rejected_draining_ = reg.GetCounter("server.rejected_draining");
-  dropped_disconnect_ = reg.GetCounter("server.dropped_disconnect");
-  deadline_exceeded_ = reg.GetCounter("server.deadline_exceeded");
-  cancelled_ = reg.GetCounter("server.cancelled");
-  resource_exhausted_ = reg.GetCounter("server.resource_exhausted");
-  cancelled_disconnect_ = reg.GetCounter("server.cancelled_disconnect");
-  reaped_idle_ = reg.GetCounter("server.reaped_idle");
-  degraded_activations_ = reg.GetCounter("server.degraded");
   queue_depth_ = reg.GetHistogram("server.queue_depth", "items");
   queue_wait_ns_ = reg.GetHistogram("server.queue_wait_ns", "ns");
   request_ns_ = reg.GetHistogram("server.request_ns", "ns");
@@ -328,7 +316,7 @@ void Server::AcceptConnections() {
     conn->fd = fd;
     conn->last_activity_ns = MonotonicNs();
     conns_.emplace(fd, conn);
-    Count(connections_, n_connections_);
+    n_connections_.fetch_add(1, std::memory_order_relaxed);
     open_conns_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -386,7 +374,7 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
 void Server::HandleLine(const std::shared_ptr<Connection>& conn,
                         std::string_view line) {
   if (line.empty()) return;
-  Count(requests_, n_requests_);
+  n_requests_.fetch_add(1, std::memory_order_relaxed);
   Result<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) {
     SendNow(conn, ErrorResponse(0, parsed.status()));
@@ -453,8 +441,14 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
                                             "extract requires a string doc")));
         return;
       }
+      const int64_t doc_index = req.IntOr("doc_index", 0);
+      if (doc_index < 0) {
+        SendNow(conn, ErrorResponse(id, Status::InvalidArgument(
+                                            "doc_index must be non-negative")));
+        return;
+      }
       item.doc = doc->AsString();
-      item.doc_index = size_t(req.IntOr("doc_index", 0));
+      item.doc_index = size_t(doc_index);
     } else {
       item.op = WorkOp::kExtractBatch;
     }
@@ -463,8 +457,6 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
       // generation-checked CachedFleet — rebuilt only when the cache's
       // membership changed since the last "all" batch.
       item.fleet = cached_fleet_.Get();
-      if (cached_fleet_.degraded())
-        MarkDegraded("fleet memory budget exceeded; shared gate disabled");
     } else {
       item.fleet = SessionFleet(conn);
       if (item.fleet == nullptr) {
@@ -485,7 +477,7 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
 void Server::HandleRegister(const std::shared_ptr<Connection>& conn,
                             int64_t id, const JsonValue& req) {
   if (draining()) {
-    Count(rejected_draining_, n_rejected_draining_);
+    n_rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     SendNow(conn, ErrorResponse(id, Status::Unavailable(
                                         "server is draining",
                                         options_.retry_after_ms)));
@@ -519,7 +511,7 @@ void Server::HandleRegister(const std::shared_ptr<Connection>& conn,
 void Server::HandleUnregister(const std::shared_ptr<Connection>& conn,
                               int64_t id, const JsonValue& req) {
   if (draining()) {
-    Count(rejected_draining_, n_rejected_draining_);
+    n_rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     SendNow(conn, ErrorResponse(id, Status::Unavailable(
                                         "server is draining",
                                         options_.retry_after_ms)));
@@ -546,34 +538,19 @@ std::shared_ptr<const engine::MultiQueryExtractor> Server::SessionFleet(
     plans.reserve(conn->regs.size());
     for (const Connection::Registration& reg : conn->regs)
       plans.push_back(reg.plan);
-    auto fleet =
-        std::make_shared<const engine::MultiQueryExtractor>(plans);
-    if (options_.memory_budget_bytes > 0 &&
-        fleet->ApproxMemoryBytes() > options_.memory_budget_bytes) {
-      // Over the serving memory budget: drop the shared gate (the only
-      // non-trivial fleet allocation) and serve gateless — byte-identical
-      // answers, per-plan filtering only.
-      fleet = std::make_shared<const engine::MultiQueryExtractor>(
-          std::move(plans), /*build_shared_gate=*/false);
-      MarkDegraded("fleet memory budget exceeded; shared gate disabled");
-    }
-    conn->fleet = std::move(fleet);
+    conn->fleet =
+        std::make_shared<const engine::MultiQueryExtractor>(std::move(plans));
   }
   return conn->fleet;
 }
 
 void Server::MarkDegraded(const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lk(degraded_mu_);
-    if (degraded_reason_.find(reason) == std::string::npos) {
-      if (!degraded_reason_.empty()) degraded_reason_ += "; ";
-      degraded_reason_ += reason;
-    } else if (degraded_.load(std::memory_order_acquire)) {
-      return;  // already degraded for this reason
-    }
+  std::lock_guard<std::mutex> lk(degraded_mu_);
+  if (degraded_reason_.find(reason) == std::string::npos) {
+    if (!degraded_reason_.empty()) degraded_reason_ += "; ";
+    degraded_reason_ += reason;
   }
-  if (!degraded_.exchange(true, std::memory_order_acq_rel))
-    degraded_activations_->Add();
+  degraded_.store(true, std::memory_order_release);
 }
 
 void Server::HandleStats(const std::shared_ptr<Connection>& conn,
@@ -615,22 +592,21 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
 Status Server::AdmitWork(const std::shared_ptr<Connection>& conn,
                          WorkItem item) {
   if (draining()) {
-    Count(rejected_draining_, n_rejected_draining_);
+    n_rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("server is draining", options_.retry_after_ms);
   }
   if (conn->inflight.load(std::memory_order_relaxed) >=
       options_.max_inflight_per_client) {
-    Count(rejected_inflight_cap_, n_rejected_inflight_cap_);
+    n_rejected_inflight_cap_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable(
         "client in-flight cap reached (" +
             std::to_string(options_.max_inflight_per_client) + ")",
         options_.retry_after_ms);
   }
   // Arm the request's token before it is shared (the token's contract):
-  // the deadline makes DeadlineExceeded fire mid-evaluation rather than
-  // only at chunk boundaries, the memory cap turns a pathological
-  // request into ResourceExhausted instead of unbounded allocation, and
-  // CloseConn's Cancel() aborts the work on disconnect.
+  // its deadline is the request's one deadline, the memory cap turns a
+  // pathological request into ResourceExhausted instead of unbounded
+  // allocation, and CloseConn's Cancel() aborts the work on disconnect.
   item.cancel = std::make_shared<CancelToken>();
   if (options_.request_timeout_ms > 0)
     item.cancel->ArmDeadline(
@@ -641,21 +617,18 @@ Status Server::AdmitWork(const std::shared_ptr<Connection>& conn,
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     if (queue_.size() >= options_.queue_capacity) {
-      Count(rejected_queue_full_, n_rejected_queue_full_);
+      n_rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable(
           "admission queue full (" + std::to_string(options_.queue_capacity) +
               ")",
           options_.retry_after_ms);
     }
     item.enqueue_ns = MonotonicNs();
-    if (options_.request_timeout_ms > 0)
-      item.deadline_ns = item.enqueue_ns +
-                         uint64_t(options_.request_timeout_ms) * 1'000'000;
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
     queue_depth_->Record(queue_.size() + 1);
     queue_.push_back(std::move(item));
   }
-  Count(admitted_, n_admitted_);
+  n_admitted_.fetch_add(1, std::memory_order_relaxed);
   queue_cv_.notify_one();
   return Status::OK();
 }
@@ -718,7 +691,7 @@ void Server::ReapIdleConns(uint64_t now_ns) {
     victims.push_back(conn);
   }
   for (const auto& conn : victims) {
-    Count(reaped_idle_, n_reaped_idle_);
+    n_reaped_idle_.fetch_add(1, std::memory_order_relaxed);
     CloseConn(conn);
   }
 }
@@ -784,17 +757,11 @@ void Server::ExecutorLoop() {
     if (conn_dead) {
       // The client disconnected while this item sat in the queue: drop it
       // at dequeue — there is nobody to answer — instead of executing.
-      Count(cancelled_disconnect_, n_cancelled_disconnect_);
-    } else if (item.deadline_ns != 0 && MonotonicNs() >= item.deadline_ns) {
-      // Expired while queued: answer with the deadline error instead of
-      // doing (now pointless) work the client has given up on.
-      Count(deadline_exceeded_, n_deadline_exceeded_);
-      EmitLine(item.conn,
-               ErrorResponse(item.id,
-                             Status::DeadlineExceeded(
-                                 "request deadline (" +
-                                 std::to_string(options_.request_timeout_ms) +
-                                 " ms) exceeded while queued")));
+      n_cancelled_disconnect_.fetch_add(1, std::memory_order_relaxed);
+    } else if (item.cancel->Poll(0)) {
+      // The token tripped while queued (its deadline passed): answer with
+      // the error instead of doing work the client has given up on.
+      FinishRequest(item);
     } else {
       Execute(item);
     }
@@ -812,26 +779,17 @@ void Server::ExecutorLoop() {
 }
 
 void Server::Execute(const WorkItem& item) {
-  {
-    std::lock_guard<std::mutex> lk(item.conn->mu);
-    if (item.conn->closed) {
-      Count(dropped_disconnect_, n_dropped_disconnect_);
-      return;
-    }
-  }
   switch (item.op) {
     case WorkOp::kSleepPing:
-      std::this_thread::sleep_for(std::chrono::milliseconds(item.sleep_ms));
-      if (item.deadline_ns != 0 && MonotonicNs() >= item.deadline_ns) {
-        Count(deadline_exceeded_, n_deadline_exceeded_);
-        EmitLine(item.conn,
-                 ErrorResponse(
-                     item.id, Status::DeadlineExceeded(
-                                  "request deadline (" +
-                                  std::to_string(options_.request_timeout_ms) +
-                                  " ms) exceeded")));
-        return;
-      }
+      // Short slices that poll the token, so a deadline, a disconnect or a
+      // drain force-close ends the sleep. Counting slept time (never
+      // forming now + sleep_ms) keeps a huge sleep_ms from overflowing.
+      for (uint64_t slept = 0;
+           slept < item.sleep_ms && !item.cancel->Poll(0);
+           slept += kSleepSliceMs)
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::min(kSleepSliceMs, item.sleep_ms - slept)));
+      if (FinishRequest(item)) return;
       EmitLine(item.conn, OkPrefix(item.id) + ",\"op\":\"ping\"}");
       return;
     case WorkOp::kExtract:
@@ -866,27 +824,26 @@ std::vector<std::string> Server::SessionHeaderRows(
 }
 
 bool Server::FinishRequest(const WorkItem& item) {
-  CancelToken* tok = item.cancel.get();
-  if (tok == nullptr) return false;
-  if (tok->peak_arena_bytes() > 0)
-    request_peak_arena_bytes_->Record(tok->peak_arena_bytes());
-  if (!tok->tripped()) return false;
-  switch (tok->reason()) {
+  const CancelToken& tok = *item.cancel;
+  if (tok.peak_arena_bytes() > 0)
+    request_peak_arena_bytes_->Record(tok.peak_arena_bytes());
+  if (!tok.tripped()) return false;
+  switch (tok.reason()) {
     case CancelToken::Reason::kCancelled:
-      Count(cancelled_, n_cancelled_);
+      n_cancelled_.fetch_add(1, std::memory_order_relaxed);
       break;
     case CancelToken::Reason::kDeadline:
-      Count(deadline_exceeded_, n_deadline_exceeded_);
+      n_deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       break;
     case CancelToken::Reason::kResourceExhausted:
-      Count(resource_exhausted_, n_resource_exhausted_);
+      n_resource_exhausted_.fetch_add(1, std::memory_order_relaxed);
       break;
     case CancelToken::Reason::kNone:
       break;
   }
   // On a disconnect-cancel the connection is closed and EmitLine drops
   // the line; for deadline/memory trips the client gets the error.
-  EmitLine(item.conn, ErrorResponse(item.id, tok->ToStatus()));
+  EmitLine(item.conn, ErrorResponse(item.id, tok.ToStatus()));
   return true;
 }
 
@@ -937,24 +894,18 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
   std::vector<std::string> rows;
   size_t rows_bytes = 0;
   bool dead = false;
-  bool expired = false;
-  // Deadlines are checked at chunk boundaries (not per row): a slow
+  // The token is polled at chunk boundaries too (not per row): a slow
   // client that blocks the watermark, or a huge result set, can run a
-  // request past its budget mid-stream, and the stream must then end in
-  // an error line rather than trickle on forever.
+  // request past its deadline mid-stream. A trip stops the stream — no
+  // more row chunks leave the server — and FinishRequest appends the
+  // error line.
   auto push_row = [&](std::string r) {
     rows_bytes += r.size();
     rows.push_back(std::move(r));
     if (rows_bytes >= kRowsChunkBytes) {
-      if (!expired && item.deadline_ns != 0 &&
-          MonotonicNs() >= item.deadline_ns) {
-        expired = true;
-        dead = true;  // stop producing; the error line closes the stream
-      }
-      // A tripped token ends the stream the same way: no more row chunks
-      // leave the server, and FinishRequest appends the error line.
-      if (item.cancel != nullptr && item.cancel->tripped()) dead = true;
-      if (!dead && !EmitRowsChunk(item.conn, item.id, rows)) dead = true;
+      if (!dead && (item.cancel->Poll(0) ||
+                    !EmitRowsChunk(item.conn, item.id, rows)))
+        dead = true;
       rows.clear();
       rows_bytes = 0;
     }
@@ -1048,19 +999,7 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
   }
   batch_.set_cancel(nullptr);
 
-  // Token trips (mid-evaluation deadline, memory cap, disconnect) win
-  // over the chunk-boundary deadline check: one error line, one counter.
   if (FinishRequest(item)) return;
-  if (expired) {
-    Count(deadline_exceeded_, n_deadline_exceeded_);
-    EmitLine(item.conn,
-             ErrorResponse(item.id,
-                           Status::DeadlineExceeded(
-                               "request deadline (" +
-                               std::to_string(options_.request_timeout_ms) +
-                               " ms) exceeded mid-stream")));
-    return;
-  }
   if (!dead && !rows.empty() && !EmitRowsChunk(item.conn, item.id, rows))
     dead = true;
   if (dead) return;
@@ -1108,8 +1047,6 @@ engine::ServerStatsReport Server::StatsSnapshot() const {
   s.rejected_inflight_cap =
       n_rejected_inflight_cap_.load(std::memory_order_relaxed);
   s.rejected_draining = n_rejected_draining_.load(std::memory_order_relaxed);
-  s.dropped_disconnect =
-      n_dropped_disconnect_.load(std::memory_order_relaxed);
   s.deadline_exceeded = n_deadline_exceeded_.load(std::memory_order_relaxed);
   s.cancelled = n_cancelled_.load(std::memory_order_relaxed);
   s.resource_exhausted =

@@ -36,13 +36,13 @@
 //
 // Graceful drain (SIGTERM via RequestDrain(), or the `drain` op): stop
 // accepting connections, refuse new admissions with Unavailable, finish
-// every admitted item, flush every response buffer (bounded by a
-// deadline against never-reading clients), exit 0.
+// every admitted item, flush every response buffer, exit 0. Past
+// drain_flush_timeout_ms every connection is force-closed, which also
+// cancels its queued and in-flight work through the tokens.
 //
-// Instrumentation: server.* counters/histograms in the global
-// obs::MetricsRegistry (catalogue in README "Server mode") plus an
-// always-on ServerStatsReport snapshot surfaced through the stats op's
-// EngineReport.
+// Instrumentation: per-instance counters read through StatsSnapshot()
+// (the stats op's report.server section) plus four histograms in the
+// global obs::MetricsRegistry (catalogue in README "Server mode").
 #ifndef SPANNERS_SERVER_SERVER_H_
 #define SPANNERS_SERVER_SERVER_H_
 
@@ -95,18 +95,16 @@ struct ServerOptions {
   /// After drain, wait at most this long for clients to read buffered
   /// responses before force-closing them.
   uint32_t drain_flush_timeout_ms = 10'000;
-  /// Per-request deadline measured from admission. A request still queued
-  /// (or still streaming) past its deadline is answered with
-  /// Status::DeadlineExceeded instead of (more) rows. 0 = no deadline.
+  /// Per-request deadline measured from admission, armed on the request's
+  /// CancelToken and polled at dequeue, during evaluation, at stream chunk
+  /// boundaries and during a sleeping ping. A request past its deadline is
+  /// answered with Status::DeadlineExceeded instead of (more) rows.
+  /// 0 = no deadline.
   uint32_t request_timeout_ms = 0;
   /// Connections with no admitted work, no buffered output and no traffic
   /// for this long are reaped (closed) so a connect-and-stall client
   /// cannot hold an fd forever. 0 = never reap.
   uint32_t idle_timeout_ms = 0;
-  /// Cap on fleet-owned memory (the shared Aho–Corasick gate). A fleet
-  /// whose footprint would exceed this is rebuilt without the shared gate
-  /// and the server marks itself degraded. 0 = unlimited.
-  size_t memory_budget_bytes = 0;
   /// Per-request cap on evaluation arena bytes. A request whose extraction
   /// allocates past the cap is aborted mid-evaluation and answered with
   /// Status::ResourceExhausted instead of growing without bound. 0 = no cap.
@@ -154,8 +152,7 @@ class Server {
   /// stay byte-identical — full scans instead of indexed/gated paths) and
   /// stats report degraded:true with this reason. First call wins; later
   /// calls with new reasons append. Thread-safe; spanexd calls this when
-  /// the posting index fails to open, the fleet builder when the memory
-  /// budget trips.
+  /// the posting index fails to open.
   void MarkDegraded(const std::string& reason);
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
@@ -175,13 +172,11 @@ class Server {
     /// cache-wide CachedFleet for "all" batches).
     std::shared_ptr<const engine::MultiQueryExtractor> fleet;
     uint64_t enqueue_ns = 0;
-    /// Absolute monotonic deadline (0 = none), set at admission from
-    /// options_.request_timeout_ms.
-    uint64_t deadline_ns = 0;
     /// The request's cancellation token, armed at admission with the
     /// deadline and the per-request memory cap. CloseConn cancels it so a
-    /// disconnect aborts queued AND in-flight evaluation; the executor
-    /// hands it to the BatchExtractor for the duration of the request.
+    /// disconnect aborts queued AND in-flight work; the executor polls it
+    /// at dequeue, while sleeping and at chunk boundaries, and hands it to
+    /// the BatchExtractor for the duration of an extraction.
     std::shared_ptr<CancelToken> cancel;
   };
 
@@ -219,10 +214,11 @@ class Server {
   void Execute(const WorkItem& item);
   void ExecuteExtract(const WorkItem& item);
   void ExecuteExtractBatch(const WorkItem& item);
-  /// Post-extraction epilogue: records the request's peak arena bytes
-  /// and, when its token tripped, emits the matching error line and bumps
-  /// the matching counter. True ⇒ the request ended in an error; the
-  /// caller must not surface rows or a done line.
+  /// Epilogue of every executed or expired item: records the request's
+  /// peak arena bytes and, when its token tripped, emits the matching
+  /// error line and bumps the matching counter — the one place a trip
+  /// becomes an answer. True ⇒ the request ended in an error; the caller
+  /// must not surface rows or a done line.
   bool FinishRequest(const WorkItem& item);
   /// Blocks while the connection's output buffer is above the high
   /// watermark; false when the connection closed (drop the output).
@@ -247,12 +243,6 @@ class Server {
   engine::BatchExtractor batch_;
 
   void InitMetrics();
-  /// Bumps a registry counter plus its per-server mirror (mirrors keep
-  /// StatsSnapshot per-instance — the registry is process-global).
-  static void Count(obs::Counter* c, std::atomic<uint64_t>& mirror) {
-    c->Add();
-    mirror.fetch_add(1, std::memory_order_relaxed);
-  }
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
@@ -286,36 +276,21 @@ class Server {
   bool have_indexed_stats_ = false;
   engine::IndexedStats last_indexed_stats_;
 
-  // server.* metrics: counters are always-on (request-rate bookkeeping is
-  // the service's own product, not hot-loop telemetry); histograms record
-  // unconditionally too — a handful of fetch_adds per request.
-  obs::Counter* connections_;
-  obs::Counter* requests_;
-  obs::Counter* admitted_;
-  obs::Counter* rejected_queue_full_;
-  obs::Counter* rejected_inflight_cap_;
-  obs::Counter* rejected_draining_;
-  obs::Counter* dropped_disconnect_;
-  obs::Counter* deadline_exceeded_;
-  obs::Counter* cancelled_;
-  obs::Counter* resource_exhausted_;
-  obs::Counter* cancelled_disconnect_;
-  obs::Counter* reaped_idle_;
-  obs::Counter* degraded_activations_;
+  // Histograms in the process-global registry, recorded unconditionally
+  // (a handful of fetch_adds per request).
   obs::Histogram* queue_depth_;
   obs::Histogram* queue_wait_ns_;
   obs::Histogram* request_ns_;
   obs::Histogram* request_peak_arena_bytes_;
 
-  // Per-server mirrors of the counters above (StatsSnapshot reads these,
-  // not the process-global registry) plus the open-connection gauge.
+  // Per-server counters — the one record of each event; StatsSnapshot
+  // reads them — plus the open-connection gauge.
   std::atomic<uint64_t> n_connections_{0};
   std::atomic<uint64_t> n_requests_{0};
   std::atomic<uint64_t> n_admitted_{0};
   std::atomic<uint64_t> n_rejected_queue_full_{0};
   std::atomic<uint64_t> n_rejected_inflight_cap_{0};
   std::atomic<uint64_t> n_rejected_draining_{0};
-  std::atomic<uint64_t> n_dropped_disconnect_{0};
   std::atomic<uint64_t> n_deadline_exceeded_{0};
   std::atomic<uint64_t> n_cancelled_{0};
   std::atomic<uint64_t> n_resource_exhausted_{0};

@@ -449,19 +449,20 @@ TEST(CancelServerTest, MemoryCapYieldsResourceExhausted) {
   EXPECT_GE(rs.server().StatsSnapshot().resource_exhausted, 1u);
 }
 
-TEST(CancelServerTest, DisconnectCancelsQueuedAndInflightWork) {
+// Disconnects while `inflight` runs and a batch waits queued behind it.
+void ExpectDisconnectCancels(const std::string& inflight) {
+  SCOPED_TRACE(inflight);
   RunningServer rs(server::ServerOptions{}, BombServedCorpus(1u << 15));
   {
     server::Client client = rs.MustConnect();
     ASSERT_TRUE(client.Register(workload::PathologicalRgxText()).ok());
-    // Two batch requests back to back: the first goes in-flight, the
-    // second waits in the queue behind it.
-    ASSERT_TRUE(
-        client.SendLine("{\"op\":\"extract_batch\",\"id\":1}").ok());
+    // Two requests back to back: the first goes in-flight, the second (a
+    // batch) waits in the queue behind it.
+    ASSERT_TRUE(client.SendLine(inflight).ok());
     ASSERT_TRUE(
         client.SendLine("{\"op\":\"extract_batch\",\"id\":2}").ok());
     // Wait until the single-threaded executor has dequeued request 1
-    // (in-flight on the bomb) while request 2 still sits in the queue.
+    // while request 2 still sits in the queue.
     const auto admit_deadline = steady_clock::now() + std::chrono::seconds(30);
     for (;;) {
       const engine::ServerStatsReport s = rs.server().StatsSnapshot();
@@ -470,11 +471,11 @@ TEST(CancelServerTest, DisconnectCancelsQueuedAndInflightWork) {
           << "request 1 never went in-flight";
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-  }  // disconnect: the destructor closes the socket mid-evaluation
+  }  // disconnect: the destructor closes the socket mid-request
 
-  // The in-flight evaluation must observe the Cancel() (server.cancelled)
+  // The in-flight request must observe the Cancel() (stats.cancelled)
   // and the queued item must be dropped at dequeue
-  // (server.cancelled_disconnect).
+  // (stats.cancelled_disconnect).
   const auto deadline = steady_clock::now() + std::chrono::seconds(30);
   engine::ServerStatsReport stats;
   for (;;) {
@@ -486,6 +487,12 @@ TEST(CancelServerTest, DisconnectCancelsQueuedAndInflightWork) {
   }
   EXPECT_GE(stats.cancelled, 1u);
   EXPECT_GE(stats.cancelled_disconnect, 1u);
+}
+
+TEST(CancelServerTest, DisconnectCancelsQueuedAndInflightWork) {
+  ExpectDisconnectCancels("{\"op\":\"extract_batch\",\"id\":1}");
+  // A 60 s sleeping ping in flight is governed by the same token.
+  ExpectDisconnectCancels("{\"op\":\"ping\",\"id\":1,\"sleep_ms\":60000}");
 }
 
 }  // namespace

@@ -6,10 +6,6 @@
 // run. Includes fork-based crash simulation ('kill' at each storage
 // point) proving pre-rename crashes leave no visible file, and
 // client-layer retry tests against a live in-process server.
-//
-// In a default build (SPANNERS_FAULTS=OFF) the subsystem is compiled out:
-// the spec parser refuses with NotSupported and every behavioral test
-// skips. CI runs this binary from a -DSPANNERS_FAULTS=ON build.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -63,20 +59,7 @@ std::string ReadFile(const std::string& path) {
 
 // ---- spec grammar --------------------------------------------------------
 
-TEST(FaultSpecTest, CompiledOutConfigureIsNotSupported) {
-  if (fault::kCompiledIn) GTEST_SKIP() << "faults compiled in";
-  Status st = fault::Configure("storage.write=fail");
-  EXPECT_EQ(st.code(), StatusCode::kNotSupported);
-  EXPECT_TRUE(fault::ConfigureFromEnv().ok() ||
-              ::getenv("SPANNERS_FAULT") != nullptr);
-  const fault::Action a = SPANNERS_FAULT("storage.write");
-  EXPECT_FALSE(a.fail);
-  EXPECT_FALSE(a.fired());
-  EXPECT_FALSE(fault::Armed());
-}
-
 TEST(FaultSpecTest, ValidSpecsParse) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   for (const char* spec : {
            "storage.write=fail",
@@ -97,7 +80,6 @@ TEST(FaultSpecTest, ValidSpecsParse) {
 }
 
 TEST(FaultSpecTest, MalformedSpecsRejected) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   for (const char* spec : {
            "nosuch.point=fail",           // unregistered point
@@ -120,7 +102,6 @@ TEST(FaultSpecTest, MalformedSpecsRejected) {
 }
 
 TEST(FaultSpecTest, EveryRegisteredPointConfigures) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   for (size_t i = 0; i < fault::kNumPoints; ++i) {
     EXPECT_TRUE(
@@ -133,7 +114,6 @@ TEST(FaultSpecTest, EveryRegisteredPointConfigures) {
 // ---- deterministic schedules ---------------------------------------------
 
 TEST(FaultScheduleTest, AfterEveryCountFireExactly) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   // Skip 2 hits, then fire every 2nd eligible hit, at most 2 times:
   // 0-based hits 2 and 4 fire, nothing else ever.
@@ -157,7 +137,6 @@ TEST(FaultScheduleTest, AfterEveryCountFireExactly) {
 }
 
 TEST(FaultScheduleTest, ProbScheduleIsDeterministicPerSeed) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   auto run = [](const char* spec) {
     EXPECT_TRUE(fault::Configure(spec).ok());
@@ -183,7 +162,6 @@ TEST(FaultScheduleTest, ProbScheduleIsDeterministicPerSeed) {
 /// must unwind with a clean error, leave the old file byte-identical and
 /// no tmp behind; after disarming the same write must succeed.
 TEST(StorageFaultTest, FailUnwindLeavesOldFileIntact) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   const std::string old_bytes = "old contents, must survive\n";
   const std::string new_bytes(8192, 'N');
@@ -216,7 +194,6 @@ TEST(StorageFaultTest, FailUnwindLeavesOldFileIntact) {
 /// the new file stays visible and valid — only its crash-durability is in
 /// doubt, and the Status says so.
 TEST(StorageFaultTest, DirsyncFailureLeavesVisibleValidFile) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   const std::string path = TempPath("dirsync");
   ASSERT_TRUE(fault::Configure("storage.dirsync=fail,errno=EIO").ok());
@@ -230,7 +207,6 @@ TEST(StorageFaultTest, DirsyncFailureLeavesVisibleValidFile) {
 }
 
 TEST(StorageFaultTest, ShortWritesLoopToCompletion) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   const std::string path = TempPath("short");
   std::string bytes;
@@ -249,7 +225,6 @@ TEST(StorageFaultTest, ShortWritesLoopToCompletion) {
 }
 
 TEST(StorageFaultTest, EintrStormIsRetriedTransparently) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   const std::string path = TempPath("eintr");
   const std::string bytes(1024, 'e');
@@ -286,7 +261,6 @@ int CrashingWrite(const std::string& spec, const std::string& path,
 /// overwrite. Crash after the rename (dirsync): the new file is visible
 /// and complete. Never a readable half-file.
 TEST(StorageCrashTest, KillAtEachPointNeverLeavesTornFile) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   const std::string old_bytes = "pre-crash contents\n";
   const std::string new_bytes(8192, 'C');
@@ -408,7 +382,6 @@ std::string CollectBatch(server::Client& client, Status* status) {
 }
 
 TEST(ClientFaultTest, ConnectWithRetrySurvivesInjectedRefusal) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   ASSERT_TRUE(
@@ -425,7 +398,6 @@ TEST(ClientFaultTest, ConnectWithRetrySurvivesInjectedRefusal) {
 }
 
 TEST(ClientFaultTest, ConnectWithoutRetryFailsFast) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   ASSERT_TRUE(
@@ -439,7 +411,6 @@ TEST(ClientFaultTest, ConnectWithoutRetryFailsFast) {
 /// re-registers the session's plans, replays the batch, and `on_row`
 /// still sees every row exactly once — byte-identical to offline.
 TEST(ClientFaultTest, RecvFaultMidStreamRetriesExactlyOnce) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   Result<server::Client> connected = server::Client::Connect(rs.socket_path());
@@ -463,7 +434,6 @@ TEST(ClientFaultTest, RecvFaultMidStreamRetriesExactlyOnce) {
 }
 
 TEST(ClientFaultTest, SendFaultRetriesTransparently) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   Result<server::Client> connected = server::Client::Connect(rs.socket_path());
@@ -479,7 +449,6 @@ TEST(ClientFaultTest, SendFaultRetriesTransparently) {
 }
 
 TEST(ClientFaultTest, ExhaustedRetriesReturnUnavailable) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   Result<server::Client> connected = server::Client::Connect(rs.socket_path());
@@ -500,7 +469,6 @@ TEST(ClientFaultTest, ExhaustedRetriesReturnUnavailable) {
 /// Server-side read/write faults: connections die, but the server's
 /// accounting stays balanced and fresh traffic serves byte-identically.
 TEST(ServerFaultTest, ReadFaultKillsConnNotServer) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   Result<server::Client> connected = server::Client::Connect(rs.socket_path());
@@ -530,7 +498,6 @@ TEST(ServerFaultTest, ReadFaultKillsConnNotServer) {
 }
 
 TEST(ServerFaultTest, ShortServerIoStillByteIdentical) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   RunningServer rs;
   // Server reads requests 3 bytes at a time and writes responses 5 bytes
@@ -555,7 +522,6 @@ TEST(ServerFaultTest, ShortServerIoStillByteIdentical) {
 /// (never a crash), and after Clear() the system serves byte-identical
 /// rows again.
 TEST(SweepTest, EveryPointFailsCleanlyAndRecovers) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "faults compiled out";
   FaultGuard guard;
   const std::string expected = OfflineOutput(kErrPattern, TestCorpus());
   for (size_t i = 0; i < fault::kNumPoints; ++i) {

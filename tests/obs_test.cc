@@ -127,11 +127,7 @@ TEST(ObsSpanTest, RecordsOnlyWhenEnabled) {
   EXPECT_EQ(h->Count(), 0u);
   SetEnabled(true);
   { ObsSpan span(h); }
-#ifdef SPANNERS_OBS_DISABLED
-  EXPECT_EQ(h->Count(), 0u);  // compiled out entirely
-#else
   EXPECT_EQ(h->Count(), 1u);
-#endif
 }
 
 // ---- Engine integration -------------------------------------------------
@@ -165,7 +161,6 @@ TEST(ObsEngineTest, SnapshotMergeMatchesPlanStatsUnder8Threads) {
   EXPECT_EQ(stats.documents, corpus.size());
   EXPECT_EQ(stats.mappings, result.total_mappings);
 
-#ifndef SPANNERS_OBS_DISABLED
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   auto counter = [&snap](const std::string& name) -> uint64_t {
     for (const auto& [n, v] : snap.counters)
@@ -193,7 +188,6 @@ TEST(ObsEngineTest, SnapshotMergeMatchesPlanStatsUnder8Threads) {
                 hist_count("tier.eval_sequential_ns") +
                 hist_count("tier.eval_fpt_ns"),
             stats.evaluated());
-#endif
 }
 
 std::string ExtractAll(const engine::DocumentExtractor& extractor,

@@ -111,14 +111,17 @@ class RunningServer {
   explicit RunningServer(ServerOptions options)
       : RunningServer(std::move(options), TestCorpus()) {}
 
-  RunningServer(ServerOptions options, Corpus corpus) {
+  /// `source` is what a Server serves: a Corpus, or a SegmentStore plus
+  /// its optional index.
+  template <typename... Source>
+  RunningServer(ServerOptions options, Source&&... source) {
     if (options.socket_path.empty())
       options.socket_path = ::testing::TempDir() + "spanexd_test_" +
                             std::to_string(reinterpret_cast<uintptr_t>(this)) +
                             ".sock";
     socket_path_ = options.socket_path;
     options.num_threads = 2;
-    server_.emplace(std::move(options), std::move(corpus));
+    server_.emplace(std::move(options), std::forward<Source>(source)...);
     Status started = server_->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
     thread_ = std::thread([this] { exit_code_ = server_->Serve(); });
@@ -451,6 +454,32 @@ TEST(ServerTest, RequestDuringDrainIsUnavailable) {
   EXPECT_EQ(rs.Shutdown(), 0);
 }
 
+// A drain that outlasts drain_flush_timeout_ms force-closes every
+// connection; that cancels a sleeping ping's token, so the sleep ends and
+// Serve() returns 0 on time instead of waiting out the sleep.
+TEST(ServerTest, DrainForceCloseEndsSleepingPing) {
+  ServerOptions options;
+  options.drain_flush_timeout_ms = 200;
+  RunningServer rs(options);
+  Client client = rs.MustConnect();
+  ASSERT_TRUE(client
+                  .SendLine("{\"op\":\"ping\",\"id\":" +
+                            std::to_string(client.NextId()) +
+                            ",\"sleep_ms\":60000}")
+                  .ok());
+  // Wait until the ping is in flight: admitted and off the queue.
+  for (;;) {
+    const engine::ServerStatsReport s = rs.server().StatsSnapshot();
+    if (s.admitted >= 1 && s.queue_depth == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(rs.Shutdown(), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(options.drain_flush_timeout_ms + 1000));
+  EXPECT_EQ(rs.server().StatsSnapshot().cancelled, 1u);
+}
+
 // The stats op reports the engine view (documents, resident plans) plus
 // the always-on server section with instance-correct counters.
 TEST(ServerTest, StatsReportsServerSection) {
@@ -527,6 +556,17 @@ TEST(ServerTest, MalformedRequestsDrawCleanErrors) {
   Result<JsonValue> huge_id = client.ReadResponseLine();
   ASSERT_TRUE(huge_id.ok()) << huge_id.status().ToString();
   EXPECT_TRUE(StatusFromResponse(*huge_id).ok());
+
+  // A negative row label must not wrap around to a huge size_t.
+  ASSERT_TRUE(client.Register(kErrPattern).ok());
+  ASSERT_TRUE(client
+                  .SendLine("{\"op\":\"extract\",\"id\":2,"
+                            "\"doc\":\"ERR 1\",\"doc_index\":-1}")
+                  .ok());
+  Result<JsonValue> negative_index = client.ReadResponseLine();
+  ASSERT_TRUE(negative_index.ok()) << negative_index.status().ToString();
+  EXPECT_EQ(StatusFromResponse(*negative_index).code(),
+            StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(client.Ping().ok());
 }
@@ -727,7 +767,7 @@ TEST(ServerPartialIoTest, EintrStormDuringExtractBatch) {
   EXPECT_EQ(rs.Shutdown(), 0);
 }
 
-// Per-request deadlines: a request whose deadline passes while queued (or
+// Per-request deadlines: a request whose token trips while queued (or
 // while its sleep runs) is answered DeadlineExceeded instead of running;
 // requests that fit their deadline still succeed.
 TEST(ServerDeadlineTest, ExpiredRequestsAnswerDeadlineExceeded) {
@@ -737,8 +777,9 @@ TEST(ServerDeadlineTest, ExpiredRequestsAnswerDeadlineExceeded) {
   Client client = rs.MustConnect();
 
   // Three pipelined 100 ms sleeping pings against a 150 ms deadline:
-  // the first fits; the second expires mid-sleep (dequeued ~100 ms,
-  // finishes ~200 ms); the third expires while still queued (~200 ms).
+  // the first fits; the second's token trips mid-sleep (dequeued
+  // ~100 ms, deadline ~150 ms); the third is past its deadline by the
+  // time it is dequeued or one sleep slice later.
   std::vector<int64_t> ids;
   for (int i = 0; i < 3; ++i) {
     ids.push_back(client.NextId());
@@ -764,6 +805,19 @@ TEST(ServerDeadlineTest, ExpiredRequestsAnswerDeadlineExceeded) {
   EXPECT_EQ(ok_count, 1);
   EXPECT_EQ(deadline_count, 2);
   EXPECT_GE(rs.server().StatsSnapshot().deadline_exceeded, 2u);
+
+  // A 60 s sleeping ping answers at its deadline, not after the sleep.
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client
+                  .SendLine("{\"op\":\"ping\",\"id\":" +
+                            std::to_string(client.NextId()) +
+                            ",\"sleep_ms\":60000}")
+                  .ok());
+  Result<JsonValue> long_sleep = client.ReadResponseLine();
+  ASSERT_TRUE(long_sleep.ok()) << long_sleep.status().ToString();
+  EXPECT_EQ(StatusFromResponse(*long_sleep).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
 
   // The connection survives an expired request: fresh work still serves.
   EXPECT_TRUE(client.Ping().ok());
@@ -805,13 +859,24 @@ TEST(ServerIdleReapTest, StalledConnReapedActiveConnSpared) {
   EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
 }
 
-// Degraded mode via the memory budget: a fleet whose shared gate would
-// blow the budget is rebuilt gateless — rows stay byte-identical, stats
-// flip degraded:true with a reason, and the server keeps serving.
-TEST(ServerDegradedTest, MemoryBudgetTripsDegradedByteIdenticalRows) {
-  ServerOptions options;
-  options.memory_budget_bytes = 1;  // any real gate exceeds this
-  RunningServer rs(options);
+// Degraded mode's one trigger: a store-backed server whose posting index
+// is missing serves full scans and marks itself degraded, as spanexd
+// does. Rows stay byte-identical, stats flip degraded:true with the
+// reason, and the server keeps serving.
+TEST(ServerDegradedTest, MissingIndexServesDegradedByteIdenticalRows) {
+  const std::string path = ::testing::TempDir() + "spanexd_degraded_" +
+                           std::to_string(::getpid()) + ".seg";
+  ASSERT_TRUE(storage::SegmentStore::Write(TestCorpus(), path).ok());
+  Result<storage::SegmentStore> store = storage::SegmentStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // No index was written next to the segment, so opening it fails.
+  Result<storage::NgramIndex> index = storage::NgramIndex::Open(
+      storage::IndexPathFor(path), store->num_docs());
+  ASSERT_FALSE(index.ok());
+  RunningServer rs(ServerOptions{}, std::move(store).value(),
+                   std::optional<storage::NgramIndex>());
+  rs.server().MarkDegraded("index unavailable, serving full scans: " +
+                           index.status().ToString());
   Client client = rs.MustConnect();
   ASSERT_TRUE(client.Register(kErrPattern).ok());
   ASSERT_TRUE(client.Register(kWarnPattern).ok());
@@ -835,6 +900,7 @@ TEST(ServerDegradedTest, MemoryBudgetTripsDegradedByteIdenticalRows) {
   ASSERT_NE(server_section, nullptr);
   EXPECT_TRUE(server_section->BoolOr("degraded", false));
   EXPECT_FALSE(server_section->StringOr("degraded_reason", "").empty());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -43,28 +43,24 @@
 //   --inflight N             per-client in-flight cap (default 8)
 //   --retry-after MS         backoff hint on Unavailable (default 50)
 //   --cache-capacity N       PlanCache capacity (default 128)
-//   --request-timeout-ms MS  per-request deadline from admission; expired
-//                            requests answer DeadlineExceeded instead of
-//                            running/finishing (default 0 = no deadline)
+//   --request-timeout-ms MS  per-request deadline from admission, polled
+//                            while queued, evaluating, streaming and
+//                            sleeping; expired requests answer
+//                            DeadlineExceeded (default 0 = no deadline)
 //   --idle-timeout-ms MS     reap connections idle this long with no
 //                            in-flight work (default 0 = never)
-//   --memory-budget BYTES    degraded-mode threshold: an "all"-fleet whose
-//                            gate automaton would exceed BYTES is rebuilt
-//                            gateless (slower, same rows) and stats
-//                            reports degraded:true (default 0 = no budget)
 //   --request-memory-cap BYTES
 //                            per-request evaluation arena cap: a request
 //                            that allocates past BYTES mid-extraction is
 //                            aborted with ResourceExhausted instead of
 //                            growing without bound (default 0 = no cap)
-//   --fault SPEC             arm fault-injection rules (builds with
-//                            -DSPANNERS_FAULTS=ON only); SPEC is
+//   --fault SPEC             arm fault-injection rules; SPEC is
 //                            point=kind[,errno=E][,after=N][,every=N]
 //                            [,count=N][,bytes=N][,ms=N][,prob=P][,seed=S]
 //                            joined by ';' — see src/common/fault.h.
 //                            The SPANNERS_FAULT env var does the same.
-//   --no-metrics             do not record server.* metrics (stats still
-//                            reports the always-on server snapshot)
+//   --no-metrics             do not record engine telemetry (stats still
+//                            reports the always-on server section)
 //   -h, --help               this text
 //
 // Remaining arguments are corpus files ("-" = stdin); with no files,
@@ -105,9 +101,8 @@ int Usage(const char* argv0, int code) {
          "               [-j N] [-0] [--queue N] [--inflight N]\n"
          "               [--retry-after MS] [--cache-capacity N]\n"
          "               [--request-timeout-ms MS] [--idle-timeout-ms MS]\n"
-         "               [--memory-budget BYTES] [--request-memory-cap "
-         "BYTES]\n"
-         "               [--fault SPEC] [--no-metrics]\n"
+         "               [--request-memory-cap BYTES] [--fault SPEC]\n"
+         "               [--no-metrics]\n"
          "Serves document-spanner extraction over an AF_UNIX JSONL\n"
          "socket: clients register plans, extract documents or the held\n"
          "corpus, and drain the server (see README \"Server mode\").\n";
@@ -197,9 +192,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--idle-timeout-ms") {
       options.idle_timeout_ms =
           static_cast<uint32_t>(need_count("--idle-timeout-ms", 1u << 30));
-    } else if (arg == "--memory-budget") {
-      options.memory_budget_bytes =
-          need_count("--memory-budget", size_t(1) << 40);
     } else if (arg == "--request-memory-cap") {
       options.request_memory_cap =
           need_count("--request-memory-cap", size_t(1) << 40);
@@ -237,8 +229,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A request-rate counter is the service's own product; recording is on
-  // unless operator-disabled.
+  // Engine telemetry is recorded for the stats op unless
+  // operator-disabled; the server section is always on.
   if (metrics) obs::SetEnabled(true);
 
   std::optional<server::Server> srv;
