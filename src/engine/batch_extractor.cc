@@ -83,6 +83,25 @@ void RecordIndexedStats(const IndexedStats& stats) {
   lookup_ns->Record(stats.lookup_ns);
 }
 
+/// Plan p's per-document result slots, for the fleet's survivor path.
+std::vector<std::vector<Mapping>*> PlanSlots(MultiBatchResult* result) {
+  std::vector<std::vector<Mapping>*> slots;
+  slots.reserve(result->per_plan.size());
+  for (BatchResult& br : result->per_plan) slots.push_back(br.per_doc.data());
+  return slots;
+}
+
+/// Folds per-shard, per-plan mapping sums (row s holds shard s's sums of
+/// the plans in order) into the per-plan and fleet totals.
+void SumPlanMappings(const std::vector<uint64_t>& mappings,
+                     MultiBatchResult* result) {
+  const size_t num_plans = result->per_plan.size();
+  for (size_t k = 0; k < mappings.size(); ++k)
+    result->per_plan[k % num_plans].total_mappings += mappings[k];
+  for (const BatchResult& br : result->per_plan)
+    result->total_mappings += br.total_mappings;
+}
+
 }  // namespace
 
 size_t BatchResult::MatchedDocuments() const {
@@ -178,28 +197,32 @@ void BatchExtractor::ExtractMultiInto(const MultiQueryExtractor& fleet,
   // its own per-document slots — except that a task extracts every plan
   // of the fleet from a document while its text is hot: one shared AC
   // scan, then the surviving plans' evaluators, all through this worker's
-  // scratch.
-  for (const Shard& shard : shards) {
-    pool_.Submit([this, &fleet, &corpus, result, num_plans, shard] {
+  // scratch. A reused result's stale slots are emptied first, plan by
+  // plan over the shard's contiguous range, so the per-document path
+  // touches only survivors. Each shard sums its survivors' mappings per
+  // plan into its own row of `mappings`.
+  const std::vector<std::vector<Mapping>*> slots = PlanSlots(result);
+  std::vector<uint64_t> mappings(shards.size() * num_plans, 0);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    pool_.Submit([this, &fleet, &corpus, &slots, &mappings, num_plans,
+                  shard = shards[s], s] {
       PlanScratch& scratch =
           *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
       scratch.cancel = cancel_;
-      std::vector<std::vector<Mapping>*> slots(num_plans);
+      for (size_t p = 0; p < num_plans; ++p)
+        for (size_t i = shard.begin; i < shard.end; ++i)
+          if (!slots[p][i].empty()) scratch.pool.RecycleAll(&slots[p][i]);
+      uint64_t* shard_mappings = &mappings[s * num_plans];
       for (size_t i = shard.begin; i < shard.end; ++i) {
         if (cancel_ != nullptr && cancel_->tripped()) break;
         obs::ObsSpan span(DocHistogram(), "doc", i);
-        for (size_t p = 0; p < num_plans; ++p)
-          slots[p] = &result->per_plan[p].per_doc[i];
-        fleet.ExtractAllSortedInto(corpus[i], &scratch, slots.data());
+        fleet.ExtractSurvivorsInto(corpus[i], &scratch, slots.data(), i,
+                                   shard_mappings);
       }
     });
   }
   pool_.WaitIdle();
-
-  for (BatchResult& br : result->per_plan) {
-    for (const auto& ms : br.per_doc) br.total_mappings += ms.size();
-    result->total_mappings += br.total_mappings;
-  }
+  SumPlanMappings(mappings, result);
 }
 
 BatchResult BatchExtractor::ExtractIndexed(const ExtractionPlan& plan,
@@ -258,7 +281,9 @@ BatchResult BatchExtractor::ExtractIndexed(const ExtractionPlan& plan,
     pool_.WaitIdle();
   }
 
-  for (const auto& ms : result.per_doc) result.total_mappings += ms.size();
+  // Only candidates can hold mappings.
+  for (size_t j = 0; j < local.candidate_docs; ++j)
+    result.total_mappings += result.per_doc[cand.all ? j : cand.docs[j]].size();
   const std::pair<uint64_t, uint64_t> faults1 = PageFaults();
   local.minor_faults = faults1.first - faults0.first;
   local.major_faults = faults1.second - faults0.second;
@@ -324,30 +349,31 @@ MultiBatchResult BatchExtractor::ExtractIndexedMulti(
         ShardSizes(sizes, MakeShardingOptions());
     result.shards = shards.size();
     for (BatchResult& br : result.per_plan) br.shards = shards.size();
-    for (const Shard& shard : shards) {
-      pool_.Submit([this, &fleet, &store, &cand, &result, num_plans, shard] {
+    // The result is fresh, so every slot starts empty: the survivor path
+    // applies directly, with per-shard mapping sums as in ExtractMultiInto.
+    const std::vector<std::vector<Mapping>*> slots = PlanSlots(&result);
+    std::vector<uint64_t> mappings(shards.size() * num_plans, 0);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      pool_.Submit([this, &fleet, &store, &cand, &slots, &mappings, num_plans,
+                    shard = shards[s], s] {
         PlanScratch& scratch =
             *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
         scratch.cancel = cancel_;
-        std::vector<std::vector<Mapping>*> slots(num_plans);
+        uint64_t* shard_mappings = &mappings[s * num_plans];
         for (size_t j = shard.begin; j < shard.end; ++j) {
           if (cancel_ != nullptr && cancel_->tripped()) break;
           const size_t d = cand.all ? j : cand.docs[j];
           obs::ObsSpan span(DocHistogram(), "doc", d);
-          for (size_t p = 0; p < num_plans; ++p)
-            slots[p] = &result.per_plan[p].per_doc[d];
           const Document doc = store.MaterializeDoc(d);
-          fleet.ExtractAllSortedInto(doc, &scratch, slots.data());
+          fleet.ExtractSurvivorsInto(doc, &scratch, slots.data(), d,
+                                     shard_mappings);
         }
       });
     }
     pool_.WaitIdle();
+    SumPlanMappings(mappings, &result);
   }
 
-  for (BatchResult& br : result.per_plan) {
-    for (const auto& ms : br.per_doc) br.total_mappings += ms.size();
-    result.total_mappings += br.total_mappings;
-  }
   const std::pair<uint64_t, uint64_t> faults1 = PageFaults();
   local.minor_faults = faults1.first - faults0.first;
   local.major_faults = faults1.second - faults0.second;
@@ -368,9 +394,12 @@ BatchExtractor::StreamStats BatchExtractor::ExtractMultiStream(
   stats.shards = shards.size();
 
   // Same ordered-drain machinery as ExtractStream, with a per-plan slice
-  // per shard.
+  // per shard. The slices start empty, so tasks take the survivor path
+  // and tally the shard's mappings and matched documents as they go.
   struct ShardState {
     std::vector<std::vector<std::vector<Mapping>>> per_plan;
+    uint64_t mappings = 0;
+    size_t matched_documents = 0;
     bool done = false;  // guarded by mu
   };
   std::vector<ShardState> state(shards.size());
@@ -389,12 +418,14 @@ BatchExtractor::StreamStats BatchExtractor::ExtractMultiStream(
       st.per_plan.assign(num_plans,
                          std::vector<std::vector<Mapping>>(shard.size()));
       std::vector<std::vector<Mapping>*> slots(num_plans);
+      for (size_t p = 0; p < num_plans; ++p) slots[p] = st.per_plan[p].data();
       for (size_t i = shard.begin; i < shard.end; ++i) {
         if (cancel_ != nullptr && cancel_->tripped()) break;
         obs::ObsSpan span(DocHistogram(), "doc", i);
-        for (size_t p = 0; p < num_plans; ++p)
-          slots[p] = &st.per_plan[p][i - shard.begin];
-        fleet.ExtractAllSortedInto(corpus[i], &scratch, slots.data());
+        const uint64_t n = fleet.ExtractSurvivorsInto(
+            corpus[i], &scratch, slots.data(), i - shard.begin, nullptr);
+        st.mappings += n;
+        if (n > 0) ++st.matched_documents;
       }
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -418,14 +449,8 @@ BatchExtractor::StreamStats BatchExtractor::ExtractMultiStream(
       cv.wait(lock, [&] { return state[consumed].done; });
     }
     ShardState& st = state[consumed];
-    for (size_t d = 0; d < shards[consumed].size(); ++d) {
-      bool matched = false;
-      for (size_t p = 0; p < num_plans; ++p) {
-        stats.total_mappings += st.per_plan[p][d].size();
-        matched = matched || !st.per_plan[p][d].empty();
-      }
-      if (matched) ++stats.matched_documents;
-    }
+    stats.total_mappings += st.mappings;
+    stats.matched_documents += st.matched_documents;
     consumer(shards[consumed].begin, shards[consumed].end, st.per_plan);
     std::vector<std::vector<std::vector<Mapping>>>().swap(st.per_plan);
   }

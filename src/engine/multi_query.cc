@@ -56,7 +56,7 @@ MultiQueryExtractor::MultiQueryExtractor(
   // every byte of the corpus. Each distinct literal becomes one pattern
   // feeding every plan that shares it (common in a fleet of similar
   // queries).
-  plan_gated_.resize(plans_.size(), 0);
+  ungated_mask_.assign((plans_.size() + 63) / 64, 0);
   plan_has_more_clauses_.resize(plans_.size(), 0);
   std::vector<std::string> patterns;
   std::vector<std::vector<uint32_t>> plans_of_pattern;
@@ -64,8 +64,10 @@ MultiQueryExtractor::MultiQueryExtractor(
   for (size_t p = 0; p < plans_.size(); ++p) {
     const std::vector<Prefilter::Clause>& clauses =
         plans_[p]->prefilter().clauses();
-    if (clauses.empty()) continue;
-    plan_gated_[p] = 1;
+    if (clauses.empty()) {
+      ungated_mask_[p >> 6] |= uint64_t{1} << (p & 63);
+      continue;
+    }
     plan_has_more_clauses_[p] = clauses.size() > 1;
     ++gated_plans_;
     for (const std::string& lit : clauses[0].literals) {
@@ -91,6 +93,7 @@ MultiQueryExtractor::MultiQueryExtractor(
     }
   }
   counters_ = std::make_unique<PlanCounters[]>(plans_.size());
+  documents_ = std::make_unique<std::atomic<uint64_t>>(0);
 }
 
 MultiQueryExtractor MultiQueryExtractor::FromCache(const PlanCache& cache) {
@@ -104,6 +107,15 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
                                                PlanScratch* scratch,
                                                std::vector<Mapping>** out)
     const {
+  for (size_t p = 0; p < plans_.size(); ++p)
+    if (!out[p]->empty()) scratch->pool.RecycleAll(out[p]);
+  ExtractSurvivorsInto(doc, scratch, out, 0, nullptr);
+}
+
+uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
+    const Document& doc, PlanScratch* scratch,
+    std::vector<Mapping>* const* slots, size_t doc_slot,
+    uint64_t* plan_mappings) const {
   const std::string_view text = doc.text();
   const size_t num_plans = plans_.size();
   CancelToken* cancel = scratch->cancel;
@@ -113,10 +125,11 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
   // strongest clause. Bit p records exactly what plan p's own prefilter
   // would compute for that clause, so gating decisions — and therefore
   // results — match the plans run alone. The scan stops early once every
-  // gated plan is satisfied.
+  // gated plan is satisfied. Without a pass every plan survives it.
+  size_t ac_rejected = 0;
   if (gating_enabled_ && ac_ != nullptr) {
     obs::ObsSpan span(Metrics().ac_scan_ns, "ac_scan");
-    bits.assign((num_plans + 63) / 64, 0);
+    bits.assign(ungated_mask_.size(), 0);
     size_t remaining = gated_plans_;
     if (!text.empty()) {
       ac_->Scan(
@@ -138,78 +151,96 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
     }
     // A trip mid-scan left the bitset partial; gating decisions derived
     // from it would be wrong. Bail — the caller discards via the token.
-    if (cancel != nullptr && cancel->tripped()) return;
+    if (cancel != nullptr && cancel->tripped()) return 0;
+    ac_rejected = remaining;
+  } else {
+    bits.assign(ungated_mask_.size(), ~uint64_t{0});
+    if (num_plans % 64 != 0)
+      bits.back() = (uint64_t{1} << (num_plans % 64)) - 1;
   }
 
-  // The skip paths below are the fleet's hottest loop (plans × documents,
-  // ~all of them skipped on a low-selectivity corpus): one relaxed
-  // atomic per skipped (plan, doc) — `documents` is derived in
-  // plan_stats() — and the pool recycle is elided for a slot that is
-  // already the empty result (the steady state under result reuse).
-  for (size_t p = 0; p < num_plans; ++p) {
-    if (cancel != nullptr && cancel->tripped()) return;
-    std::vector<Mapping>* slot = out[p];
-    PlanCounters& counters = counters_[p];
-    if (gating_enabled_) {
-      if (plan_gated_[p] && (bits[p >> 6] >> (p & 63) & 1) == 0) {
-        if (!slot->empty()) scratch->pool.RecycleAll(slot);
-        counters.ac_gate_skipped.fetch_add(1, std::memory_order_relaxed);
-        if (obs::Enabled()) {
-          Metrics().documents->Add(1);
-          Metrics().ac_gate_skipped->Add(1);
+  // The one per-document write: plan_stats() derives every gated plan's
+  // shared-pass rejections from this count, so a rejected (plan, doc)
+  // pair is never touched below.
+  documents_->fetch_add(1, std::memory_order_relaxed);
+  if (obs::Enabled() && ac_rejected > 0) {
+    Metrics().documents->Add(ac_rejected);
+    Metrics().ac_gate_skipped->Add(ac_rejected);
+  }
+
+  // Survivors only: the pass's satisfied plans plus the ungated ones, in
+  // plan order.
+  uint64_t total = 0;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t live = bits[w] | ungated_mask_[w]; live != 0;
+         live &= live - 1) {
+      if (cancel != nullptr && cancel->tripped()) return total;
+      const size_t p = w * 64 + static_cast<size_t>(__builtin_ctzll(live));
+      std::vector<Mapping>* slot = slots[p] + doc_slot;
+      PlanCounters& counters = counters_[p];
+      if (gating_enabled_) {
+        // Tier 2, per surviving plan: its remaining prefilter clauses
+        // (memmem over the rare candidate document).
+        if (plan_has_more_clauses_[p]) {
+          bool pass;
+          {
+            obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
+            pass = plans_[p]->prefilter().Matches(text, cancel);
+          }
+          if (!pass) {
+            counters.prefilter_skipped.fetch_add(1, std::memory_order_relaxed);
+            if (obs::Enabled()) {
+              Metrics().documents->Add(1);
+              Metrics().prefilter_skipped->Add(1);
+            }
+            continue;
+          }
         }
-        continue;
-      }
-      // Tier 2, per surviving plan: its remaining prefilter clauses
-      // (memmem over the rare candidate document).
-      if (plan_has_more_clauses_[p]) {
-        bool pass;
+        // Tier 3: the plan's own cached lazy DFA (its negative answer is
+        // sound for any VA).
+        std::optional<bool> verdict;
         {
-          obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
-          pass = plans_[p]->prefilter().Matches(text, cancel);
+          obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
+          verdict = plans_[p]->lazy_dfa().Matches(text, cancel);
         }
-        if (!pass) {
-          if (!slot->empty()) scratch->pool.RecycleAll(slot);
-          counters.prefilter_skipped.fetch_add(1, std::memory_order_relaxed);
+        if (verdict.has_value() && !*verdict) {
+          counters.dfa_skipped.fetch_add(1, std::memory_order_relaxed);
           if (obs::Enabled()) {
             Metrics().documents->Add(1);
-            Metrics().prefilter_skipped->Add(1);
+            Metrics().dfa_skipped->Add(1);
           }
           continue;
         }
       }
-      // Tier 3: the plan's own cached lazy DFA (its negative answer is
-      // sound for any VA).
-      std::optional<bool> verdict;
-      {
-        obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
-        verdict = plans_[p]->lazy_dfa().Matches(text, cancel);
-      }
-      if (verdict.has_value() && !*verdict) {
-        if (!slot->empty()) scratch->pool.RecycleAll(slot);
-        counters.dfa_skipped.fetch_add(1, std::memory_order_relaxed);
-        if (obs::Enabled()) {
-          Metrics().documents->Add(1);
-          Metrics().dfa_skipped->Add(1);
-        }
-        continue;
-      }
+      plans_[p]->ExtractSortedPregatedInto(doc, scratch, slot);
+      counters.extracted.fetch_add(1, std::memory_order_relaxed);
+      counters.mappings.fetch_add(slot->size(), std::memory_order_relaxed);
+      if (plan_mappings != nullptr) plan_mappings[p] += slot->size();
+      total += slot->size();
     }
-    plans_[p]->ExtractSortedPregatedInto(doc, scratch, slot);
-    counters.extracted.fetch_add(1, std::memory_order_relaxed);
-    counters.mappings.fetch_add(slot->size(), std::memory_order_relaxed);
   }
+  return total;
 }
 
 PlanStats MultiQueryExtractor::plan_stats(size_t i) const {
   const PlanCounters& c = counters_[i];
   PlanStats s;
   s.mappings = c.mappings.load(std::memory_order_relaxed);
-  s.ac_gate_skipped = c.ac_gate_skipped.load(std::memory_order_relaxed);
   s.prefilter_skipped = c.prefilter_skipped.load(std::memory_order_relaxed);
   s.dfa_skipped = c.dfa_skipped.load(std::memory_order_relaxed);
   s.documents = c.extracted.load(std::memory_order_relaxed) +
-                s.ac_gate_skipped + s.prefilter_skipped + s.dfa_skipped;
+                s.prefilter_skipped + s.dfa_skipped;
+  // Every counted document that a gated plan's own tiers never saw was
+  // rejected by the shared pass. Mid-call the per-plan counters can run
+  // ahead of the shared one; the guard keeps such a read consistent.
+  const bool gated = (ungated_mask_[i >> 6] >> (i & 63) & 1) == 0;
+  if (gating_enabled_ && gated) {
+    const uint64_t documents = documents_->load(std::memory_order_relaxed);
+    if (documents > s.documents) {
+      s.ac_gate_skipped = documents - s.documents;
+      s.documents = documents;
+    }
+  }
   return s;
 }
 

@@ -26,14 +26,18 @@
 // Only plans that survive every tier reach an evaluator, so the dominant
 // cost on a low-selectivity fleet — scanning the 99% of documents that
 // match nothing — is paid once per document instead of once per plan per
-// document. Results are byte-identical to running each plan alone (each
-// tier is sound: the shared pass computes exactly the plan's own
-// strongest-clause satisfaction, and survivors re-run their complete
-// prefilter), delivered per plan in deterministic corpus order.
+// document. After the shared pass the extractor visits only the survivors
+// (a bit-scan of the pass's plan bitset plus the ungated plans) and counts
+// the document once for the whole fleet, so a rejected (plan, document)
+// pair costs nothing beyond its share of the scan. Results are
+// byte-identical to running each plan alone (each tier is sound: the
+// shared pass computes exactly the plan's own strongest-clause
+// satisfaction, and survivors re-run their complete prefilter), delivered
+// per plan in deterministic corpus order.
 //
 // Thread safety: the extractor is immutable after construction apart from
-// monotonic per-plan counters; one instance is shared by every worker of
-// a BatchExtractor::ExtractMulti call.
+// monotonic counters; one instance is shared by every worker of a
+// BatchExtractor::ExtractMulti call.
 #ifndef SPANNERS_ENGINE_MULTI_QUERY_H_
 #define SPANNERS_ENGINE_MULTI_QUERY_H_
 
@@ -84,10 +88,13 @@ class MultiQueryExtractor {
   void ExtractAllSortedInto(const Document& doc, PlanScratch* scratch,
                             std::vector<Mapping>** out) const;
 
-  /// Aggregated counters of plan `i` across every multi-query document:
-  /// ac_gate_skipped counts shared-pass rejections, prefilter_skipped the
-  /// plan's own remaining-clause rejections, dfa_skipped its lazy-DFA
-  /// rejections; documents covers every corpus document seen.
+  /// Aggregated counters of plan `i` across every document offered to the
+  /// fleet: prefilter_skipped counts the plan's own remaining-clause
+  /// rejections, dfa_skipped its lazy-DFA rejections, and documents every
+  /// document offered. For a plan the shared pass gates, ac_gate_skipped
+  /// is derived — the fleet's document count less the documents that
+  /// reached the plan's own tiers — so it is exact whenever no call is in
+  /// flight; it is 0 for an ungated plan and while gating is off.
   PlanStats plan_stats(size_t i) const;
 
   /// Total distinct gate literals across the fleet (0 = no shared gate;
@@ -100,22 +107,38 @@ class MultiQueryExtractor {
   std::string ToString() const;
 
  private:
-  // No `documents` counter: every document lands in exactly one of these
-  // four, so plan_stats() derives the total — that keeps the per-skipped-
-  // (plan, doc) cost at one relaxed atomic in the fleet's hottest loop.
+  // The batch driver empties its result slots itself (a shard's stale
+  // slots in one sequential sweep) and then takes the survivor path.
+  friend class BatchExtractor;
+
+  // The survivor path behind ExtractAllSortedInto. Plan p's result slot
+  // is slots[p][doc_slot]; every slot must be empty on entry, and only the
+  // plans that reach an evaluator write theirs. Adds each such plan's
+  // mapping count to plan_mappings[p] when that is non-null, and returns
+  // the document's mappings summed over every plan.
+  uint64_t ExtractSurvivorsInto(const Document& doc, PlanScratch* scratch,
+                                std::vector<Mapping>* const* slots,
+                                size_t doc_slot,
+                                uint64_t* plan_mappings) const;
+
+  // Cost model: a document costs the shared scan, one relaxed atomic
+  // (`documents_`) and a bit-scan of one word per 64 plans; only the
+  // survivors of the shared pass touch these per-plan counters. The shared
+  // pass's rejections are never written anywhere: plan_stats() derives
+  // them from `documents_`.
   struct PlanCounters {
     std::atomic<uint64_t> extracted{0};
     std::atomic<uint64_t> mappings{0};
-    std::atomic<uint64_t> ac_gate_skipped{0};
     std::atomic<uint64_t> prefilter_skipped{0};
     std::atomic<uint64_t> dfa_skipped{0};
   };
 
   std::vector<std::shared_ptr<const ExtractionPlan>> plans_;
-  // Whether plan p participates in the shared pass (has a prefilter
-  // clause) and, per document, which bit of the scratch bitset records
-  // its strongest clause's satisfaction (the bit index is p itself).
-  std::vector<uint8_t> plan_gated_;
+  // Bit p is set when plan p has no prefilter clause: the shared pass
+  // cannot reject it, so it joins the pass's survivors on every document.
+  // For a gated plan, bit p of the scratch bitset records its strongest
+  // clause's satisfaction.
+  std::vector<uint64_t> ungated_mask_;
   /// Plans whose full prefilter holds clauses beyond the gated one (the
   /// survivors' remaining-clause tier can be skipped otherwise).
   std::vector<uint8_t> plan_has_more_clauses_;
@@ -130,6 +153,8 @@ class MultiQueryExtractor {
   bool gating_enabled_ = true;
   // unique_ptr keeps the extractor movable despite the atomics.
   std::unique_ptr<PlanCounters[]> counters_;
+  // Documents offered to the fleet whose shared pass completed.
+  std::unique_ptr<std::atomic<uint64_t>> documents_;
 };
 
 /// Generation-checked holder of a PlanCache's resident fleet. Building a

@@ -98,8 +98,8 @@ struct PlanStats {
   uint64_t dfa_skipped = 0;
   /// Documents rejected for this plan by the *shared* multi-query
   /// Aho–Corasick pass (one corpus scan gating every resident plan).
-  /// Only MultiQueryExtractor bumps this; a plan run alone counts its
-  /// literal rejections under prefilter_skipped.
+  /// Only MultiQueryExtractor::plan_stats reports this; a plan run alone
+  /// counts its literal rejections under prefilter_skipped.
   uint64_t ac_gate_skipped = 0;
 
   /// Documents that survived every gate and reached an evaluator

@@ -556,13 +556,21 @@ void Server::MarkDegraded(const std::string& reason) {
 void Server::HandleStats(const std::shared_ptr<Connection>& conn,
                          int64_t id) {
   engine::EngineReport report;
-  for (size_t p = 0; p < conn->regs.size(); ++p) {
-    const engine::ExtractionPlan& plan = *conn->regs[p].plan;
-    report.plans.push_back(engine::PlanReport{
-        conn->regs.size() == 1 ? "" : "q" + std::to_string(p),
-        plan.info().ToString(), plan.stats(), plan.lazy_dfa().stats()});
+  // Per-plan lines count what the session's fleet was offered, as spanex
+  // reports a fleet offline: the plan's own record sees only the
+  // documents that survive the fleet's shared pass.
+  const std::shared_ptr<const engine::MultiQueryExtractor> fleet =
+      SessionFleet(conn);
+  if (fleet != nullptr) {
+    for (size_t p = 0; p < fleet->num_plans(); ++p) {
+      const engine::ExtractionPlan& plan = fleet->plan(p);
+      report.plans.push_back(engine::PlanReport{
+          fleet->num_plans() == 1 ? "" : "q" + std::to_string(p),
+          plan.info().ToString(), fleet->plan_stats(p),
+          plan.lazy_dfa().stats()});
+    }
+    if (fleet->num_plans() > 1) report.fleet = fleet->ToString();
   }
-  if (conn->regs.size() > 1) report.fleet = SessionFleet(conn)->ToString();
   report.have_cache = true;
   report.cache = cache_.stats();
   report.documents = corpus_docs();
@@ -922,45 +930,33 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
     engine::IndexedStats index_stats;
     const storage::NgramIndex* index =
         index_.has_value() ? &*index_ : nullptr;
-    if (single) {
-      const engine::BatchResult result =
-          batch_.ExtractIndexed(fleet.plan(0), *store_, index, &index_stats);
-      const VarSet& vars = fleet.plan(0).vars();
-      for (size_t i = 0; i < result.per_doc.size() && !dead; ++i) {
-        if (result.per_doc[i].empty()) continue;
-        const Document doc = store_->MaterializeDoc(i);
-        for (const Mapping& m : result.per_doc[i]) {
+    // A single plan runs as a fleet of one, so the session fleet's
+    // per-plan stats count every request the session makes.
+    const engine::MultiBatchResult result =
+        batch_.ExtractIndexedMulti(fleet, *store_, index, &index_stats);
+    for (size_t i = 0; i < store_->num_docs() && !dead; ++i) {
+      bool matched = false;
+      for (size_t p = 0; p < result.per_plan.size(); ++p)
+        matched = matched || !result.per_plan[p].per_doc[i].empty();
+      if (!matched) continue;
+      ++matched_docs;
+      const Document doc = store_->MaterializeDoc(i);
+      for (size_t p = 0; p < result.per_plan.size(); ++p) {
+        const VarSet& vars = fleet.plan(p).vars();
+        for (const Mapping& m : result.per_plan[p].per_doc[i]) {
           row.clear();
-          engine::AppendMappingRow(&row, item.format, i, m, vars, doc);
+          if (single) {
+            engine::AppendMappingRow(&row, item.format, i, m, vars, doc);
+          } else {
+            engine::AppendFleetMappingRow(&row, item.format, p, i, m, vars,
+                                          doc);
+          }
           row.pop_back();
           push_row(row);
         }
       }
-      total_mappings = result.total_mappings;
-      matched_docs = result.MatchedDocuments();
-    } else {
-      const engine::MultiBatchResult result =
-          batch_.ExtractIndexedMulti(fleet, *store_, index, &index_stats);
-      for (size_t i = 0; i < store_->num_docs() && !dead; ++i) {
-        bool matched = false;
-        for (size_t p = 0; p < result.per_plan.size(); ++p)
-          matched = matched || !result.per_plan[p].per_doc[i].empty();
-        if (!matched) continue;
-        ++matched_docs;
-        const Document doc = store_->MaterializeDoc(i);
-        for (size_t p = 0; p < result.per_plan.size(); ++p) {
-          const VarSet& vars = fleet.plan(p).vars();
-          for (const Mapping& m : result.per_plan[p].per_doc[i]) {
-            row.clear();
-            engine::AppendFleetMappingRow(&row, item.format, p, i, m, vars,
-                                          doc);
-            row.pop_back();
-            push_row(row);
-          }
-        }
-      }
-      total_mappings = result.total_mappings;
     }
+    total_mappings = result.total_mappings;
     {
       std::lock_guard<std::mutex> lk(indexed_stats_mu_);
       have_indexed_stats_ = true;

@@ -366,6 +366,56 @@ TEST(BatchExtractorTest, ReusableAcrossBatches) {
   EXPECT_EQ(r2.per_doc[0].size(), 1u);  // x spans the whole document
 }
 
+// A refilled BatchResult must hold exactly what a fresh extraction of the
+// new corpus gives: the second corpus is shorter and its needles sit on
+// other documents, so stale slots of the first call must be emptied and
+// truncated documents must not count.
+TEST(BatchExtractorTest, ExtractIntoReuseMatchesFreshExtraction) {
+  workload::NeedleOptions o;
+  o.documents = 150;
+  o.doc_bytes = 200;
+  o.match_rate = 0.1;
+  Corpus first(workload::NeedleCorpus(o));
+  o.documents = 90;
+  o.seed = 211;
+  Corpus second(workload::NeedleCorpus(o));
+  ExtractionPlan plan =
+      ExtractionPlan::FromSpanner(Spanner::FromRgx(workload::NeedleRgx()));
+
+  BatchOptions ro;
+  ro.num_threads = 1;
+  const BatchResult first_alone = BatchExtractor(ro).Extract(plan, first);
+  const BatchResult want = BatchExtractor(ro).Extract(plan, second);
+  size_t stale = 0;  // documents matched only in the first corpus
+  size_t fresh = 0;  // ... and only in the second
+  for (size_t i = 0; i < second.size(); ++i) {
+    const bool a = !first_alone.per_doc[i].empty();
+    const bool b = !want.per_doc[i].empty();
+    stale += a && !b;
+    fresh += b && !a;
+  }
+  ASSERT_GT(stale, 0u);
+  ASSERT_GT(fresh, 0u);
+  ASSERT_GT(want.total_mappings, 0u);
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    BatchOptions bo;
+    bo.num_threads = threads;
+    bo.min_docs_per_shard = 4;
+    BatchExtractor extractor(bo);
+    BatchResult reused;
+    extractor.ExtractInto(plan, first, &reused);
+    EXPECT_EQ(reused.total_mappings, first_alone.total_mappings)
+        << "threads=" << threads;
+    extractor.ExtractInto(plan, second, &reused);
+    const BatchResult fresh_result = extractor.Extract(plan, second);
+    EXPECT_EQ(reused.per_doc, want.per_doc) << "threads=" << threads;
+    EXPECT_EQ(reused.total_mappings, want.total_mappings)
+        << "threads=" << threads;
+    EXPECT_EQ(reused.shards, fresh_result.shards) << "threads=" << threads;
+  }
+}
+
 // ---- formatting --------------------------------------------------------
 
 TEST(FormatTest, TsvRowPinsWireFormat) {

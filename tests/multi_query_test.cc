@@ -150,6 +150,10 @@ TEST(MultiQueryTest, ExtractMultiStreamMatchesExtractMultiInOrder) {
   }
 }
 
+// plan_stats() derives each gated plan's shared-pass rejections from one
+// fleet-wide document count, so it must stay exact across calls, thread
+// counts and entry points: after each call, documents equals every
+// document offered so far, and the four outcomes add up to it.
 TEST(MultiQueryTest, PerPlanStatsAccountForEveryDocument) {
   workload::FleetOptions o;
   o.num_patterns = 4;
@@ -162,26 +166,133 @@ TEST(MultiQueryTest, PerPlanStatsAccountForEveryDocument) {
   EXPECT_EQ(fleet.num_gated_plans(), 4u);
   EXPECT_GT(fleet.num_gate_literals(), 0u);
 
+  uint64_t offered = 0;
+  std::vector<uint64_t> matched(fleet.num_plans(), 0);
+  std::vector<uint64_t> mappings(fleet.num_plans(), 0);
+  auto check = [&](const std::string& after) {
+    for (size_t p = 0; p < fleet.num_plans(); ++p) {
+      PlanStats s = fleet.plan_stats(p);
+      EXPECT_EQ(s.documents, offered) << after << " plan " << p;
+      // Every document is either rejected by the shared AC pass (no tag
+      // literal), the remaining-clause prefilter tier, the DFA tier, or
+      // extracted; the fleet corpus is built so every extracted document
+      // matches.
+      EXPECT_EQ(s.ac_gate_skipped + s.prefilter_skipped + s.dfa_skipped +
+                    matched[p],
+                offered)
+          << after << " plan " << p;
+      EXPECT_EQ(s.evaluated(), matched[p]) << after << " plan " << p;
+      EXPECT_GT(s.ac_gate_skipped, 0u) << after << " plan " << p;
+      EXPECT_EQ(s.mappings, mappings[p]) << after << " plan " << p;
+      EXPECT_FALSE(s.ToString().empty());
+    }
+  };
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    BatchOptions bo;
+    bo.num_threads = threads;
+    bo.min_docs_per_shard = 4;
+    MultiBatchResult result = BatchExtractor(bo).ExtractMulti(fleet, corpus);
+    offered += corpus.size();
+    for (size_t p = 0; p < fleet.num_plans(); ++p) {
+      matched[p] += result.per_plan[p].MatchedDocuments();
+      mappings[p] += result.per_plan[p].total_mappings;
+    }
+    check("ExtractMulti threads " + std::to_string(threads));
+  }
+
   BatchOptions bo;
   bo.num_threads = 2;
-  MultiBatchResult result = BatchExtractor(bo).ExtractMulti(fleet, corpus);
-
-  for (size_t p = 0; p < fleet.num_plans(); ++p) {
-    PlanStats s = fleet.plan_stats(p);
-    EXPECT_EQ(s.documents, corpus.size()) << p;
-    // Every document is either rejected by the shared AC pass (no tag
-    // literal), the remaining-clause prefilter tier, the DFA tier, or
-    // extracted; the fleet corpus is built so AC rejections = non-needle
-    // documents exactly.
-    EXPECT_EQ(s.ac_gate_skipped + s.prefilter_skipped + s.dfa_skipped +
-                  result.per_plan[p].MatchedDocuments(),
-              corpus.size())
-        << p;
-    EXPECT_GT(s.ac_gate_skipped, 0u) << p;
-    EXPECT_EQ(s.mappings, result.per_plan[p].total_mappings) << p;
-    EXPECT_FALSE(s.ToString().empty());
-  }
+  bo.min_docs_per_shard = 4;
+  BatchExtractor(bo).ExtractMultiStream(
+      fleet, corpus,
+      [&](size_t, size_t,
+          std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
+        for (size_t p = 0; p < per_plan.size(); ++p)
+          for (const auto& ms : per_plan[p]) {
+            if (!ms.empty()) ++matched[p];
+            mappings[p] += ms.size();
+          }
+      });
+  offered += corpus.size();
+  check("ExtractMultiStream");
   EXPECT_NE(fleet.ToString().find("4 plans"), std::string::npos);
+
+  // With gating off every document reaches every evaluator: the shared
+  // pass rejects nothing.
+  MultiQueryExtractor plain(CompileAll(generated.patterns));
+  plain.set_gating_enabled(false);
+  BatchExtractor(bo).ExtractMulti(plain, corpus);
+  for (size_t p = 0; p < plain.num_plans(); ++p) {
+    PlanStats s = plain.plan_stats(p);
+    EXPECT_EQ(s.ac_gate_skipped, 0u) << p;
+    EXPECT_EQ(s.documents, corpus.size()) << p;
+    EXPECT_EQ(s.evaluated(), corpus.size()) << p;
+  }
+}
+
+// A refilled MultiBatchResult must hold exactly what a fresh extraction
+// of the new corpus gives: the second corpus is shorter and its needles
+// sit on other (plan, document) pairs, so every stale slot of the first
+// call must be emptied, and truncated documents must not count.
+TEST(MultiQueryTest, ExtractMultiIntoReuseMatchesFreshExtraction) {
+  workload::FleetOptions o;
+  o.num_patterns = 6;
+  o.documents = 150;
+  o.doc_bytes = 200;
+  o.match_rate = 0.08;
+  workload::PatternFleet first_gen = workload::MakePatternFleet(o);
+  o.documents = 90;
+  o.seed = 977;
+  workload::PatternFleet second_gen = workload::MakePatternFleet(o);
+  ASSERT_EQ(first_gen.patterns, second_gen.patterns);
+  Corpus first(std::move(first_gen.documents));
+  Corpus second(std::move(second_gen.documents));
+  MultiQueryExtractor fleet(CompileAll(first_gen.patterns));
+
+  BatchOptions ro;
+  ro.num_threads = 1;
+  const MultiBatchResult first_alone =
+      BatchExtractor(ro).ExtractMulti(fleet, first);
+  const MultiBatchResult want = BatchExtractor(ro).ExtractMulti(fleet, second);
+  size_t stale = 0;  // (plan, doc) pairs matched only in the first corpus
+  size_t fresh = 0;  // ... and only in the second
+  for (size_t p = 0; p < fleet.num_plans(); ++p)
+    for (size_t i = 0; i < second.size(); ++i) {
+      const bool a = !first_alone.per_plan[p].per_doc[i].empty();
+      const bool b = !want.per_plan[p].per_doc[i].empty();
+      stale += a && !b;
+      fresh += b && !a;
+    }
+  ASSERT_GT(stale, 0u);
+  ASSERT_GT(fresh, 0u);
+  ASSERT_GT(want.total_mappings, 0u);
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    BatchOptions bo;
+    bo.num_threads = threads;
+    bo.min_docs_per_shard = 4;
+    BatchExtractor extractor(bo);
+    MultiBatchResult reused;
+    extractor.ExtractMultiInto(fleet, first, &reused);
+    EXPECT_EQ(reused.total_mappings, first_alone.total_mappings)
+        << "threads " << threads;
+    extractor.ExtractMultiInto(fleet, second, &reused);
+    ASSERT_EQ(reused.per_plan.size(), want.per_plan.size());
+    EXPECT_EQ(reused.total_mappings, want.total_mappings)
+        << "threads " << threads;
+    const MultiBatchResult fresh_result = extractor.ExtractMulti(fleet, second);
+    EXPECT_EQ(reused.shards, fresh_result.shards) << "threads " << threads;
+    for (size_t p = 0; p < want.per_plan.size(); ++p) {
+      EXPECT_EQ(reused.per_plan[p].per_doc, want.per_plan[p].per_doc)
+          << "plan " << p << " threads " << threads;
+      EXPECT_EQ(reused.per_plan[p].total_mappings,
+                want.per_plan[p].total_mappings)
+          << "plan " << p << " threads " << threads;
+      EXPECT_EQ(reused.per_plan[p].shards, fresh_result.per_plan[p].shards)
+          << "plan " << p << " threads " << threads;
+    }
+  }
 }
 
 TEST(MultiQueryTest, FromCacheGathersResidentPlansDeterministically) {

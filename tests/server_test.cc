@@ -504,6 +504,20 @@ TEST(ServerTest, StatsReportsServerSection) {
   EXPECT_EQ(server_section->IntOr("connections_open", -1), 1);
   EXPECT_FALSE(response->StringOr("text", "").empty());
 
+  // The plan's line counts every document the session's fleet was
+  // offered, not only those that survived its shared pass.
+  const JsonValue* plans = report->Find("plans");
+  ASSERT_NE(plans, nullptr);
+  ASSERT_EQ(plans->items().size(), 1u);
+  const JsonValue* plan_stats = plans->items()[0].Find("stats");
+  ASSERT_NE(plan_stats, nullptr);
+  EXPECT_EQ(plan_stats->IntOr("documents", -1), int64_t(TestCorpus().size()));
+  EXPECT_EQ(plan_stats->IntOr("ac_gate_skipped", -1) +
+                plan_stats->IntOr("prefilter_skipped", -1) +
+                plan_stats->IntOr("dfa_skipped", -1) +
+                plan_stats->IntOr("evaluated", -1),
+            int64_t(TestCorpus().size()));
+
   // The snapshot is per-instance: a second server must start from zero
   // even though the obs registry is process-global.
   RunningServer fresh(ServerOptions{});
@@ -900,6 +914,48 @@ TEST(ServerDegradedTest, MissingIndexServesDegradedByteIdenticalRows) {
   ASSERT_NE(server_section, nullptr);
   EXPECT_TRUE(server_section->BoolOr("degraded", false));
   EXPECT_FALSE(server_section->StringOr("degraded_reason", "").empty());
+  std::remove(path.c_str());
+}
+
+// A store-backed session with one plan runs as a fleet of one: its rows
+// stay byte-identical to the offline single-pattern run, and the stats
+// op's plan line counts exactly the candidates the index offered it.
+TEST(ServerTest, IndexedSinglePlanRowsAndStatsCountCandidates) {
+  const std::string path = ::testing::TempDir() + "spanexd_indexed_" +
+                           std::to_string(::getpid()) + ".seg";
+  ASSERT_TRUE(storage::SegmentStore::Write(TestCorpus(), path).ok());
+  Result<storage::SegmentStore> store = storage::SegmentStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  storage::NgramIndex index = storage::NgramIndex::Build(*store);
+  engine::IndexedStats offline;
+  BatchExtractor().ExtractIndexed(
+      ExtractionPlan::Compile(kErrPattern).ValueOrDie(), *store, &index,
+      &offline);
+  ASSERT_TRUE(offline.narrowed);
+  ASSERT_LT(offline.candidate_docs, TestCorpus().size());
+
+  RunningServer rs(ServerOptions{}, std::move(store).value(),
+                   std::optional<storage::NgramIndex>(std::move(index)));
+  Client client = rs.MustConnect();
+  ASSERT_TRUE(client.Register(kErrPattern).ok());
+  EXPECT_EQ(CollectRows(client, OutputFormat::kTsv, true, false, nullptr),
+            OfflineOutput({kErrPattern}, TestCorpus(), OutputFormat::kTsv,
+                          true));
+
+  Result<JsonValue> response = client.Stats();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const JsonValue* plans = response->Find("report")->Find("plans");
+  ASSERT_NE(plans, nullptr);
+  ASSERT_EQ(plans->items().size(), 1u);
+  const JsonValue* plan_stats = plans->items()[0].Find("stats");
+  ASSERT_NE(plan_stats, nullptr);
+  EXPECT_EQ(plan_stats->IntOr("documents", -1),
+            int64_t(offline.candidate_docs));
+  EXPECT_EQ(plan_stats->IntOr("ac_gate_skipped", -1) +
+                plan_stats->IntOr("prefilter_skipped", -1) +
+                plan_stats->IntOr("dfa_skipped", -1) +
+                plan_stats->IntOr("evaluated", -1),
+            int64_t(offline.candidate_docs));
   std::remove(path.c_str());
 }
 
