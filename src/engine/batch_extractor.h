@@ -1,10 +1,15 @@
-// BatchExtractor: runs one DocumentExtractor — a compiled pattern plan or
-// a whole algebra query — over a Corpus on a fixed work-stealing thread
-// pool. The corpus is cut into byte-balanced shards
-// (≈ oversubscription × threads of them, so stealing can rebalance skew);
-// each worker extracts its shard's documents into slots indexed by
-// document position. Output is therefore deterministic and independent of
-// the thread count: per_doc[i] is the sorted ⟦γ⟧_{d_i}.
+// BatchExtractor: extracts a corpus on a fixed work-stealing thread pool.
+// Every entry point is one shard driver over three axes:
+//   - source: a Corpus, or a SegmentStore's index candidates;
+//   - step:   one DocumentExtractor (a compiled pattern plan or a whole
+//             algebra query), or a MultiQueryExtractor fleet's plans;
+//   - sink:   the caller's per-document result slots, or per-shard slices
+//             streamed to a consumer in corpus order.
+// The documents are cut into byte-balanced shards (≈ oversubscription ×
+// threads of them, so stealing can rebalance skew); each worker extracts
+// its shard's documents into slots fixed by document position. Output is
+// therefore deterministic and independent of the thread count:
+// per_doc[i] is the sorted ⟦γ⟧_{d_i}.
 #ifndef SPANNERS_ENGINE_BATCH_EXTRACTOR_H_
 #define SPANNERS_ENGINE_BATCH_EXTRACTOR_H_
 
@@ -133,8 +138,8 @@ class BatchExtractor {
   /// Streamed variant of Extract: `consumer` is invoked once per shard,
   /// in corpus order, on the calling thread, while later shards are still
   /// extracting — output never materializes the whole BatchResult, so peak
-  /// memory is bounded by the in-flight window (≈ threads ×
-  /// oversubscription shards) instead of the corpus. The emitted stream
+  /// memory is bounded by the in-flight window (2 × threads shards)
+  /// instead of the corpus. The emitted stream
   /// is byte-identical for every thread count: shard boundaries and
   /// per-document mapping order do not depend on scheduling. Same
   /// borrowing and non-reentrancy rules as Extract.
@@ -201,8 +206,18 @@ class BatchExtractor {
                                        IndexedStats* stats = nullptr);
 
  private:
-  /// Shard sizing shared by Extract and ExtractStream.
-  ShardingOptions MakeShardingOptions() const;
+  /// The one shard driver behind every Extract* call (batch_extractor.cc):
+  /// `source` yields the documents and `step` extracts one into its output
+  /// slots. The sink is `results` (one per output, refilled in place;
+  /// submit every shard, wait once) or, when that is null, `consumer`
+  /// (per-shard slices drained in corpus order).
+  template <typename Source, typename Step>
+  StreamStats Drive(const Source& source, const Step& step,
+                    BatchResult* results, const MultiShardConsumer* consumer);
+  // Its per-document steps (batch_extractor.cc): members, so the fleet
+  // step may take MultiQueryExtractor's private survivor path.
+  struct ExtractorStep;
+  struct FleetStep;
 
   BatchOptions options_;
   ThreadPool pool_;

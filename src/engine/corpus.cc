@@ -58,32 +58,9 @@ size_t Corpus::TotalBytes() const {
 
 std::vector<Shard> ShardCorpus(const Corpus& corpus,
                                const ShardingOptions& options) {
-  std::vector<Shard> shards;
-  const size_t n = corpus.size();
-  if (n == 0) return shards;
-
-  const size_t max_shards = options.max_shards == 0 ? 1 : options.max_shards;
-  const size_t min_docs =
-      options.min_docs_per_shard == 0 ? 1 : options.min_docs_per_shard;
-  const size_t total = corpus.TotalBytes();
-  // Byte budget per shard; +1 so the last shard absorbs rounding rather
-  // than spilling into a tiny max_shards+1'th shard.
-  const size_t budget = total / max_shards + 1;
-
-  Shard current{0, 0};
-  size_t bytes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    bytes += corpus[i].text().size();
-    current.end = i + 1;
-    if (bytes >= budget && current.size() >= min_docs &&
-        shards.size() + 1 < max_shards) {
-      shards.push_back(current);
-      current = Shard{i + 1, i + 1};
-      bytes = 0;
-    }
-  }
-  if (current.size() > 0) shards.push_back(current);
-  return shards;
+  return ShardByBytes(
+      corpus.size(), [&](size_t i) { return corpus[i].text().size(); },
+      options);
 }
 
 }  // namespace engine

@@ -74,11 +74,43 @@ struct ShardingOptions {
   size_t min_docs_per_shard = 16;
 };
 
-/// Partitions [0, corpus.size()) into at most `options.max_shards`
-/// contiguous shards, balanced by document bytes (a shard closes once it
-/// holds ≥ total/max_shards bytes and ≥ min_docs_per_shard documents).
-/// Every document lands in exactly one shard; shards are returned in
-/// corpus order. Empty corpus → no shards.
+/// Partitions [0, n) into at most `options.max_shards` contiguous shards,
+/// balanced by bytes(i), the size of item i (a shard closes once it holds
+/// ≥ total/max_shards bytes and ≥ min_docs_per_shard items). Every item
+/// lands in exactly one shard; shards are returned in order. n = 0 → no
+/// shards.
+template <typename Bytes>
+std::vector<Shard> ShardByBytes(size_t n, Bytes bytes,
+                                const ShardingOptions& options) {
+  std::vector<Shard> shards;
+  if (n == 0) return shards;
+
+  const size_t max_shards = options.max_shards == 0 ? 1 : options.max_shards;
+  const size_t min_docs =
+      options.min_docs_per_shard == 0 ? 1 : options.min_docs_per_shard;
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) total += bytes(i);
+  // Byte budget per shard; +1 so the last shard absorbs rounding rather
+  // than spilling into a tiny max_shards+1'th shard.
+  const size_t budget = total / max_shards + 1;
+
+  Shard current{0, 0};
+  size_t acc = 0;
+  for (size_t i = 0; i < n; ++i) {
+    acc += bytes(i);
+    current.end = i + 1;
+    if (acc >= budget && current.size() >= min_docs &&
+        shards.size() + 1 < max_shards) {
+      shards.push_back(current);
+      current = Shard{i + 1, i + 1};
+      acc = 0;
+    }
+  }
+  if (current.size() > 0) shards.push_back(current);
+  return shards;
+}
+
+/// ShardByBytes over the corpus's documents.
 std::vector<Shard> ShardCorpus(const Corpus& corpus,
                                const ShardingOptions& options);
 

@@ -1,6 +1,5 @@
 #include "engine/multi_query.h"
 
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -12,18 +11,12 @@ namespace engine {
 
 namespace {
 
-// The fleet runs tiers 2 and 3 itself (the plans are pre-gated), so it
-// records into the same tier.prefilter_ns / tier.dfa_gate_ns histograms
-// and engine.* skip counters ExtractionPlan::GateRejects feeds — one
-// tier breakdown regardless of which layer did the gating.
+// The shared pass's own metrics; tiers 2 and 3 record theirs through
+// ExtractionPlan::GateCascade, the one cascade a plan run alone uses too.
 struct FleetMetrics {
   obs::Histogram* ac_scan_ns;
-  obs::Histogram* prefilter_ns;
-  obs::Histogram* dfa_gate_ns;
   obs::Counter* documents;
   obs::Counter* ac_gate_skipped;
-  obs::Counter* prefilter_skipped;
-  obs::Counter* dfa_skipped;
 };
 
 const FleetMetrics& Metrics() {
@@ -31,12 +24,8 @@ const FleetMetrics& Metrics() {
     obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
     FleetMetrics m;
     m.ac_scan_ns = r.GetHistogram("tier.ac_scan_ns");
-    m.prefilter_ns = r.GetHistogram("tier.prefilter_ns");
-    m.dfa_gate_ns = r.GetHistogram("tier.dfa_gate_ns");
     m.documents = r.GetCounter("engine.documents");
     m.ac_gate_skipped = r.GetCounter("engine.ac_gate_skipped");
-    m.prefilter_skipped = r.GetCounter("engine.prefilter_skipped");
-    m.dfa_skipped = r.GetCounter("engine.dfa_skipped");
     return m;
   }();
   return m;
@@ -178,39 +167,17 @@ uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
       const size_t p = w * 64 + static_cast<size_t>(__builtin_ctzll(live));
       std::vector<Mapping>* slot = slots[p] + doc_slot;
       PlanCounters& counters = counters_[p];
-      if (gating_enabled_) {
-        // Tier 2, per surviving plan: its remaining prefilter clauses
-        // (memmem over the rare candidate document).
-        if (plan_has_more_clauses_[p]) {
-          bool pass;
-          {
-            obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
-            pass = plans_[p]->prefilter().Matches(text, cancel);
-          }
-          if (!pass) {
-            counters.prefilter_skipped.fetch_add(1, std::memory_order_relaxed);
-            if (obs::Enabled()) {
-              Metrics().documents->Add(1);
-              Metrics().prefilter_skipped->Add(1);
-            }
-            continue;
-          }
-        }
-        // Tier 3: the plan's own cached lazy DFA (its negative answer is
-        // sound for any VA).
-        std::optional<bool> verdict;
-        {
-          obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
-          verdict = plans_[p]->lazy_dfa().Matches(text, cancel);
-        }
-        if (verdict.has_value() && !*verdict) {
-          counters.dfa_skipped.fetch_add(1, std::memory_order_relaxed);
-          if (obs::Enabled()) {
-            Metrics().documents->Add(1);
-            Metrics().dfa_skipped->Add(1);
-          }
-          continue;
-        }
+      // Tiers 2–3: the plan's remaining prefilter clauses (a memmem over
+      // the rare candidate document), then its cached lazy DFA.
+      const GateTier rejected =
+          gating_enabled_ ? plans_[p]->GateCascade(text, cancel,
+                                                   !plan_has_more_clauses_[p])
+                          : GateTier::kNone;
+      if (rejected != GateTier::kNone) {
+        (rejected == GateTier::kPrefilter ? counters.prefilter_skipped
+                                          : counters.dfa_skipped)
+            .fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
       plans_[p]->ExtractSortedPregatedInto(doc, scratch, slot);
       counters.extracted.fetch_add(1, std::memory_order_relaxed);

@@ -154,19 +154,21 @@ Result<ExtractionPlan> ExtractionPlan::FromRuleProgram(
                         std::move(key));
 }
 
-bool ExtractionPlan::GateRejects(const Document& doc,
-                                 CancelToken* cancel) const {
-  if (!gating_enabled_) return false;
-  if (prefilter_.CanPrune()) {
+GateTier ExtractionPlan::GateCascade(std::string_view text,
+                                     CancelToken* cancel,
+                                     bool prefilter_decided) const {
+  if (!prefilter_decided && prefilter_.CanPrune()) {
     bool pass;
     {
       obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
-      pass = prefilter_.Matches(doc.text(), cancel);
+      pass = prefilter_.Matches(text, cancel);
     }
     if (!pass) {
-      counters_->prefilter_skipped.Add(1);
-      if (obs::Enabled()) Metrics().prefilter_skipped->Add(1);
-      return true;
+      if (obs::Enabled()) {
+        Metrics().documents->Add(1);
+        Metrics().prefilter_skipped->Add(1);
+      }
+      return GateTier::kPrefilter;
     }
   }
   // The lazy DFA over-approximates ⟦A⟧ for any VA (ops relaxed to ε), so
@@ -176,14 +178,43 @@ bool ExtractionPlan::GateRejects(const Document& doc,
   std::optional<bool> verdict;
   {
     obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
-    verdict = dfa_->Matches(doc.text(), cancel);
+    verdict = dfa_->Matches(text, cancel);
   }
   if (verdict.has_value() && !*verdict) {
-    counters_->dfa_skipped.Add(1);
-    if (obs::Enabled()) Metrics().dfa_skipped->Add(1);
-    return true;
+    if (obs::Enabled()) {
+      Metrics().documents->Add(1);
+      Metrics().dfa_skipped->Add(1);
+    }
+    return GateTier::kLazyDfa;
   }
-  return false;
+  return GateTier::kNone;
+}
+
+bool ExtractionPlan::GateRejects(const Document& doc,
+                                 CancelToken* cancel) const {
+  if (!gating_enabled_) return false;
+  switch (GateCascade(doc.text(), cancel)) {
+    case GateTier::kNone:
+      return false;
+    case GateTier::kPrefilter:
+      counters_->prefilter_skipped.Add(1);
+      break;
+    case GateTier::kLazyDfa:
+      counters_->dfa_skipped.Add(1);
+      break;
+  }
+  counters_->documents.Add(1);
+  return true;
+}
+
+void ExtractionPlan::CountEvaluated(uint64_t mappings) const {
+  counters_->documents.Add(1);
+  counters_->mappings.Add(mappings);
+  if (obs::Enabled()) {
+    Metrics().documents->Add(1);
+    Metrics().evaluated->Add(1);
+    Metrics().mappings->Add(mappings);
+  }
 }
 
 bool ExtractionPlan::Matches(const Document& doc, PlanScratch* scratch) const {
@@ -213,24 +244,14 @@ bool ExtractionPlan::Matches(const Document& doc, PlanScratch* scratch) const {
 }
 
 MappingSet ExtractionPlan::Extract(const Document& doc) const {
-  if (GateRejects(doc, nullptr)) {
-    counters_->documents.Add(1);
-    if (obs::Enabled()) Metrics().documents->Add(1);
-    return MappingSet();
-  }
+  if (GateRejects(doc, nullptr)) return MappingSet();
   MappingSet out;
   {
     obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
                       kEvalSpanName[size_t(info_.evaluator)]);
     out = spanner_.ExtractAllWith(info_.evaluator, doc);
   }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(out.size());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(out.size());
-  }
+  CountEvaluated(out.size());
   return out;
 }
 
@@ -244,26 +265,8 @@ void ExtractionPlan::ExtractSortedInto(const Document& doc,
                                        PlanScratch* scratch,
                                        std::vector<Mapping>* out) const {
   scratch->pool.RecycleAll(out);  // previous results refill the pool
-  if (GateRejects(doc, scratch->cancel)) {
-    counters_->documents.Add(1);
-    if (obs::Enabled()) Metrics().documents->Add(1);
-    return;  // *out is already the (empty) result
-  }
-  {
-    obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
-                      kEvalSpanName[size_t(info_.evaluator)]);
-    VectorSink sink(out, &scratch->pool);
-    spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, sink,
-                       scratch->cancel);
-    std::sort(out->begin(), out->end());
-  }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(out->size());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(out->size());
-  }
+  if (GateRejects(doc, scratch->cancel)) return;  // *out is the (empty) result
+  ExtractSortedPregatedInto(doc, scratch, out);
 }
 
 void ExtractionPlan::ExtractSortedPregatedInto(const Document& doc,
@@ -278,22 +281,12 @@ void ExtractionPlan::ExtractSortedPregatedInto(const Document& doc,
                        scratch->cancel);
     std::sort(out->begin(), out->end());
   }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(out->size());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(out->size());
-  }
+  CountEvaluated(out->size());
 }
 
 void ExtractionPlan::ExtractTo(const Document& doc, PlanScratch* scratch,
                                MappingSink& sink) const {
-  if (GateRejects(doc, scratch->cancel)) {
-    counters_->documents.Add(1);
-    if (obs::Enabled()) Metrics().documents->Add(1);
-    return;
-  }
+  if (GateRejects(doc, scratch->cancel)) return;
   CountingSink counting(sink);
   {
     obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
@@ -301,13 +294,7 @@ void ExtractionPlan::ExtractTo(const Document& doc, PlanScratch* scratch,
     spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, counting,
                        scratch->cancel);
   }
-  counters_->documents.Add(1);
-  counters_->mappings.Add(counting.count());
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(counting.count());
-  }
+  CountEvaluated(counting.count());
 }
 
 PlanStats ExtractionPlan::stats() const {

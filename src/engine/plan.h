@@ -119,6 +119,10 @@ struct PlanStats {
   std::string ToString() const;
 };
 
+/// The gate tier that rejected a document (ExtractionPlan::GateCascade);
+/// kNone = no tier could prove it empty, so it goes on to the evaluator.
+enum class GateTier { kNone, kPrefilter, kLazyDfa };
+
 /// The engine's unit of per-document work: anything that can produce the
 /// deterministically sorted mapping set of one document. Implemented by
 /// ExtractionPlan (one compiled pattern) and query::CompiledQuery (a whole
@@ -175,6 +179,18 @@ class ExtractionPlan : public DocumentExtractor {
   void set_gating_enabled(bool on) { gating_enabled_ = on; }
   bool gating_enabled() const { return gating_enabled_; }
 
+  /// Tiers 2–3 of the gate cascade on one document: the literal prefilter,
+  /// then the cached lazy DFA (its negative answer is sound for any VA).
+  /// `prefilter_decided` skips the prefilter when an outer tier already
+  /// decided the plan's only clause (the multi-query shared pass). Records
+  /// the tier.* spans and, on a rejection, the engine.* registry counters
+  /// (documents plus the rejecting tier's skip counter); the caller counts
+  /// the verdict in its own per-plan record and decides by its own
+  /// gating flag whether to run the cascade at all. A tripped `cancel`
+  /// answers kNone (no proof): the evaluator notices the trip at once.
+  GateTier GateCascade(std::string_view text, CancelToken* cancel,
+                       bool prefilter_decided = false) const;
+
   /// NonEmp on one document: ⟦γ⟧_doc ≠ ∅, deciding via the cheapest
   /// sufficient tier — literal prefilter, then the cached lazy DFA (exact
   /// for sequential VAs), then NFA state-set simulation. Thread-safe.
@@ -200,9 +216,9 @@ class ExtractionPlan : public DocumentExtractor {
                          std::vector<Mapping>* out) const override;
 
   /// ExtractSortedInto for a document an outer tier has already gated:
-  /// skips this plan's own prefilter + lazy-DFA scan (the multi-query
-  /// extractor decides both from its shared corpus pass) and goes straight
-  /// to the evaluator. Counters for documents/mappings are still bumped.
+  /// skips this plan's own gate cascade (the multi-query extractor runs it
+  /// after its shared corpus pass) and goes straight to the evaluator.
+  /// Counters for documents/mappings are still bumped.
   void ExtractSortedPregatedInto(const Document& doc, PlanScratch* scratch,
                                  std::vector<Mapping>* out) const;
 
@@ -218,11 +234,11 @@ class ExtractionPlan : public DocumentExtractor {
  private:
   ExtractionPlan(Spanner spanner, std::string pattern);
 
-  /// True when the document provably has no mappings (literal prefilter
-  /// or lazy-DFA gate rejected it); bumps the matching skip counter.
-  /// A tripped `cancel` answers false (no proof): the evaluator stage
-  /// notices the trip immediately and aborts there.
+  /// The gate cascade under this plan's own gating flag: true when it
+  /// rejected the document, which is then counted in the plan's record.
   bool GateRejects(const Document& doc, CancelToken* cancel) const;
+  /// Counts one evaluated document and its mappings.
+  void CountEvaluated(uint64_t mappings) const;
 
   Spanner spanner_;
   std::string pattern_;

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,11 +28,14 @@
 #include "common/aho_corasick.h"
 #include "common/cancel.h"
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "query/compile.h"
 #include "query/parser.h"
 #include "rgx/parser.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "storage/ngram_index.h"
+#include "storage/segment.h"
 #include "workload/generators.h"
 
 namespace spanners {
@@ -360,6 +364,177 @@ TEST(CancelPlanTest, PreTrippedTokenStopsBatchBetweenDocuments) {
   // Workers bail between documents once tripped; the partial result is
   // contractually meaningless but must be smaller than the full run.
   EXPECT_LT(cancelled.total_mappings, base.total_mappings);
+}
+
+// ---- the token on every BatchExtractor entry point -------------------
+
+// What a caller sees of one entry-point run: document d's mappings, every
+// output's in order, and the reported total.
+struct EntryRun {
+  std::vector<std::vector<Mapping>> rows;
+  uint64_t total_mappings = 0;
+};
+
+EntryRun FromBatch(const BatchResult& r) {
+  return EntryRun{r.per_doc, r.total_mappings};
+}
+
+EntryRun FromMulti(const engine::MultiBatchResult& r, size_t num_docs) {
+  EntryRun run;
+  run.rows.resize(num_docs);
+  for (const BatchResult& plan : r.per_plan)
+    for (size_t d = 0; d < num_docs; ++d)
+      run.rows[d].insert(run.rows[d].end(), plan.per_doc[d].begin(),
+                         plan.per_doc[d].end());
+  run.total_mappings = r.total_mappings;
+  return run;
+}
+
+// Every public entry point over one needle corpus: in memory for the
+// corpus calls, written as a segment plus trigram index for the indexed
+// ones. The fleet holds two plans, so per-plan outputs interleave.
+class EntryPoints {
+ public:
+  EntryPoints()
+      : corpus_(NeedleCorpus()),
+        plan_(MustCompile(".*ALERT id=(x{[0-9]+}) code=(y{[A-Z]+})\\n.*")),
+        fleet_({std::make_shared<const ExtractionPlan>(
+                    MustCompile(".*ALERT id=(x{[0-9]+}).*")),
+                std::make_shared<const ExtractionPlan>(
+                    MustCompile(".*code=(y{[A-Z]+})\\n.*"))}),
+        path_(::testing::TempDir() + "spanners_cancel_entry_" +
+              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".seg") {
+    EXPECT_TRUE(storage::SegmentStore::Write(corpus_, path_).ok());
+    store_.emplace(storage::SegmentStore::Open(path_).ValueOrDie());
+    const std::string index_path = storage::IndexPathFor(path_);
+    EXPECT_TRUE(storage::NgramIndex::Build(*store_).Save(index_path).ok());
+    index_.emplace(
+        storage::NgramIndex::Open(index_path, store_->num_docs()).ValueOrDie());
+  }
+
+  ~EntryPoints() {
+    std::remove(path_.c_str());
+    std::remove(storage::IndexPathFor(path_).c_str());
+  }
+
+  static constexpr const char* kNames[] = {
+      "Extract",        "ExtractInto",      "ExtractStream",
+      "ExtractMulti",   "ExtractMultiInto", "ExtractMultiStream",
+      "ExtractIndexed", "ExtractIndexedMulti"};
+
+  // Runs entry point `e` (an index into kNames) on `batch`. The *Into
+  // calls refill results kept across calls, as a serving loop does.
+  EntryRun Run(size_t e, BatchExtractor& batch) {
+    const size_t n = corpus_.size();
+    EntryRun run;
+    switch (e) {
+      case 0:
+        return FromBatch(batch.Extract(plan_, corpus_));
+      case 1:
+        batch.ExtractInto(plan_, corpus_, &reused_);
+        return FromBatch(reused_);
+      case 2:
+        run.total_mappings =
+            batch
+                .ExtractStream(plan_, corpus_,
+                               [&](size_t, size_t,
+                                   std::vector<std::vector<Mapping>>& per_doc) {
+                                 for (auto& ms : per_doc)
+                                   run.rows.push_back(std::move(ms));
+                               })
+                .total_mappings;
+        return run;
+      case 3:
+        return FromMulti(batch.ExtractMulti(fleet_, corpus_), n);
+      case 4:
+        batch.ExtractMultiInto(fleet_, corpus_, &reused_multi_);
+        return FromMulti(reused_multi_, n);
+      case 5:
+        run.rows.resize(n);
+        run.total_mappings =
+            batch
+                .ExtractMultiStream(
+                    fleet_, corpus_,
+                    [&](size_t begin, size_t end,
+                        std::vector<std::vector<std::vector<Mapping>>>&
+                            per_plan) {
+                      for (auto& plan : per_plan)
+                        for (size_t d = begin; d < end; ++d)
+                          for (Mapping& m : plan[d - begin])
+                            run.rows[d].push_back(std::move(m));
+                    })
+                .total_mappings;
+        return run;
+      case 6:
+        return FromBatch(batch.ExtractIndexed(plan_, *store_, &*index_));
+      default:
+        return FromMulti(batch.ExtractIndexedMulti(fleet_, *store_, &*index_),
+                         n);
+    }
+  }
+
+ private:
+  static Corpus NeedleCorpus() {
+    workload::NeedleOptions no;
+    no.documents = 200;
+    no.doc_bytes = 512;
+    no.match_rate = 0.05;
+    return Corpus(workload::NeedleCorpus(no));
+  }
+
+  Corpus corpus_;
+  ExtractionPlan plan_;
+  engine::MultiQueryExtractor fleet_;
+  std::string path_;
+  std::optional<storage::SegmentStore> store_;
+  std::optional<storage::NgramIndex> index_;
+  BatchResult reused_;
+  engine::MultiBatchResult reused_multi_;
+};
+
+// All eight entry points share one shard driver; each must honour the
+// token exactly like Extract: an armed token that never trips changes
+// nothing, and a tripped one stops the batch before its next document.
+TEST(CancelPlanTest, TokenOnEveryEntryPoint) {
+  EntryPoints entries;
+  obs::Histogram* docs =
+      obs::MetricsRegistry::Global().GetHistogram("engine.doc_ns");
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    BatchOptions options;
+    options.num_threads = threads;
+    BatchExtractor batch(options);
+    for (size_t e = 0; e < std::size(EntryPoints::kNames); ++e) {
+      SCOPED_TRACE(std::string(EntryPoints::kNames[e]) + ", threads " +
+                   std::to_string(threads));
+      const EntryRun base = entries.Run(e, batch);
+      ASSERT_GT(base.total_mappings, 0u);
+
+      CancelToken armed;
+      armed.ArmDeadline(steady_clock::now() + std::chrono::hours(1));
+      armed.ArmMemoryBudget(uint64_t{1} << 40);
+      batch.set_cancel(&armed);
+      const EntryRun with_token = entries.Run(e, batch);
+      batch.set_cancel(nullptr);
+      EXPECT_FALSE(armed.tripped());
+      EXPECT_EQ(with_token.rows, base.rows);
+      EXPECT_EQ(with_token.total_mappings, base.total_mappings);
+
+      // A tripped token is seen before the first document: no document
+      // even opens its engine.doc_ns span.
+      CancelToken tripped;
+      tripped.Cancel();
+      ASSERT_TRUE(tripped.Poll(0));
+      obs::SetEnabled(true);
+      const uint64_t docs_before = docs->Count();
+      batch.set_cancel(&tripped);
+      const EntryRun cancelled = entries.Run(e, batch);
+      batch.set_cancel(nullptr);
+      const uint64_t docs_visited = docs->Count() - docs_before;
+      obs::SetEnabled(false);
+      EXPECT_LT(cancelled.total_mappings, base.total_mappings);
+      EXPECT_EQ(docs_visited, 0u);
+    }
+  }
 }
 
 // ---- server: deadline, memory cap, disconnect -----------------------

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <memory>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "engine/engine.h"
@@ -599,6 +604,151 @@ TEST(BatchExtractorTest, ExtractStreamEmptyCorpus) {
   EXPECT_EQ(calls, 0u);
   EXPECT_EQ(stats.shards, 0u);
   EXPECT_EQ(stats.total_mappings, 0u);
+}
+
+// ---- stream safety: a throwing consumer, the in-flight window -----------
+
+// Counts the documents it extracts, to show how far a stream ran ahead of
+// its consumer.
+class CountingExtractor : public DocumentExtractor {
+ public:
+  explicit CountingExtractor(const ExtractionPlan& plan) : plan_(plan) {}
+  const VarSet& vars() const override { return plan_.vars(); }
+  void ExtractSortedInto(const Document& doc, PlanScratch* scratch,
+                         std::vector<Mapping>* out) const override {
+    plan_.ExtractSortedInto(doc, scratch, out);
+    extracted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  size_t extracted() const {
+    return extracted_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const ExtractionPlan& plan_;
+  mutable std::atomic<size_t> extracted_{0};
+};
+
+Corpus LogCorpus(size_t rows_per_document) {
+  workload::CorpusOptions o;
+  o.documents = 256;
+  o.rows_per_document = rows_per_document;
+  return Corpus(workload::ServerLogCorpus(o));
+}
+
+ExtractionPlan LogPlan() {
+  return ExtractionPlan::FromSpanner(Spanner::FromRgx(workload::LogLineRgx()));
+}
+
+// Waits until every submitted shard has finished: `count` stops moving
+// once the workers run out of work.
+size_t Settled(const std::function<size_t()>& count) {
+  size_t last = count();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const size_t now = count();
+    if (now == last) return now;
+    last = now;
+  }
+}
+
+// A consumer that throws on its first shard: the exception reaches the
+// caller only after every in-flight shard finished (their tasks reference
+// the unwinding frame), and the same extractor then streams correctly.
+TEST(BatchExtractorTest, StreamConsumerThrowIsSafe) {
+  const Corpus corpus = LogCorpus(8);  // heavy enough to keep shards in flight
+  const ExtractionPlan plan = LogPlan();
+  const BatchResult want = BatchExtractor().Extract(plan, corpus);
+  BatchOptions bo;
+  bo.num_threads = 2;
+  BatchExtractor extractor(bo);
+
+  EXPECT_THROW(extractor.ExtractStream(
+                   plan, corpus,
+                   [](size_t, size_t, std::vector<std::vector<Mapping>>&) {
+                     throw std::runtime_error("consumer");
+                   }),
+               std::runtime_error);
+  std::vector<std::vector<Mapping>> streamed;
+  extractor.ExtractStream(
+      plan, corpus,
+      [&](size_t, size_t, std::vector<std::vector<Mapping>>& per_doc) {
+        for (auto& ms : per_doc) streamed.push_back(std::move(ms));
+      });
+  EXPECT_EQ(streamed, want.per_doc);
+}
+
+TEST(BatchExtractorTest, MultiStreamConsumerThrowIsSafe) {
+  const Corpus corpus = LogCorpus(8);
+  MultiQueryExtractor fleet({std::make_shared<const ExtractionPlan>(LogPlan()),
+                             std::make_shared<const ExtractionPlan>(LogPlan())});
+  const MultiBatchResult want = BatchExtractor().ExtractMulti(fleet, corpus);
+  BatchOptions bo;
+  bo.num_threads = 2;
+  BatchExtractor extractor(bo);
+
+  EXPECT_THROW(
+      extractor.ExtractMultiStream(
+          fleet, corpus,
+          [](size_t, size_t, std::vector<std::vector<std::vector<Mapping>>>&) {
+            throw std::runtime_error("consumer");
+          }),
+      std::runtime_error);
+  std::vector<std::vector<std::vector<Mapping>>> streamed(fleet.num_plans());
+  extractor.ExtractMultiStream(
+      fleet, corpus,
+      [&](size_t, size_t,
+          std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
+        for (size_t p = 0; p < per_plan.size(); ++p)
+          for (auto& ms : per_plan[p]) streamed[p].push_back(std::move(ms));
+      });
+  for (size_t p = 0; p < fleet.num_plans(); ++p)
+    EXPECT_EQ(streamed[p], want.per_plan[p].per_doc) << "plan " << p;
+}
+
+// With default options at 2 threads the corpus cuts into 8 shards, but
+// at most 2 × threads of them are submitted ahead of the consumer: while
+// the consumer holds the first shard, the rest of the corpus waits.
+TEST(BatchExtractorTest, StreamWindowBoundsExtraction) {
+  const Corpus corpus = LogCorpus(1);
+  const ExtractionPlan plan = LogPlan();
+  const CountingExtractor counting(plan);
+  BatchOptions bo;
+  bo.num_threads = 2;
+  BatchExtractor extractor(bo);
+
+  size_t calls = 0;
+  size_t extracted_at_first = 0;
+  extractor.ExtractStream(
+      counting, corpus,
+      [&](size_t, size_t, std::vector<std::vector<Mapping>>&) {
+        if (calls++ == 0)
+          extracted_at_first = Settled([&] { return counting.extracted(); });
+      });
+  ASSERT_GE(calls, 8u);
+  EXPECT_LT(extracted_at_first, corpus.size());
+  EXPECT_EQ(counting.extracted(), corpus.size());
+}
+
+TEST(BatchExtractorTest, MultiStreamWindowBoundsExtraction) {
+  const Corpus corpus = LogCorpus(1);
+  MultiQueryExtractor fleet({std::make_shared<const ExtractionPlan>(LogPlan())});
+  BatchOptions bo;
+  bo.num_threads = 2;
+  BatchExtractor extractor(bo);
+
+  size_t calls = 0;
+  size_t extracted_at_first = 0;
+  extractor.ExtractMultiStream(
+      fleet, corpus,
+      [&](size_t, size_t, std::vector<std::vector<std::vector<Mapping>>>&) {
+        if (calls++ == 0)
+          extracted_at_first = Settled([&] {
+            return static_cast<size_t>(fleet.plan_stats(0).documents);
+          });
+      });
+  ASSERT_GE(calls, 8u);
+  EXPECT_LT(extracted_at_first, corpus.size());
+  EXPECT_EQ(fleet.plan_stats(0).documents, corpus.size());
 }
 
 TEST(FormatTest, ParseOutputFormat) {

@@ -719,82 +719,73 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Indexed extraction over a persisted corpus: posting-list candidate
-  // lookup, then the normal gate cascade over candidates only. Output and
-  // report rows match the full-scan paths byte for byte (matched docs are
-  // always candidates; non-candidates provably have no rows).
-  if (index.has_value()) {
-    IndexedStats index_stats;
-    BatchExtractor::StreamStats run_stats;
+  // A fleet's TSV header and per-plan report lines. A fleet of one prints
+  // and reports as its plan alone, as spanexd serves it.
+  auto fleet_header = [&](const MultiQueryExtractor& fleet) {
+    if (format != OutputFormat::kTsv || !header) return;
+    if (fleet.num_plans() == 1) {
+      out += TsvHeader(fleet.plan(0).vars());
+      out += '\n';
+      return;
+    }
+    std::vector<const VarSet*> vars_per_plan;
+    for (size_t p = 0; p < fleet.num_plans(); ++p)
+      vars_per_plan.push_back(&fleet.plan(p).vars());
+    out += FleetTsvHeader(vars_per_plan);
+  };
+  auto fleet_report = [&](const MultiQueryExtractor& fleet) {
     EngineReport report;
+    if (fleet.num_plans() > 1) report.fleet = fleet.ToString();
+    for (size_t p = 0; p < fleet.num_plans(); ++p) {
+      const ExtractionPlan& plan = fleet.plan(p);
+      report.plans.push_back(PlanReport{
+          fleet.num_plans() == 1 ? "" : "q" + std::to_string(p),
+          plan.info().ToString(), fleet.plan_stats(p),
+          plan.lazy_dfa().stats()});
+    }
+    report.have_cache = true;
+    report.cache = cache.stats();
+    return report;
+  };
 
-    if (plans.size() == 1) {
-      const ExtractionPlan& plan = *plans[0];
-      const VarSet& vars = plan.vars();
-      if (format == OutputFormat::kTsv && header) {
-        out += TsvHeader(vars);
-        out += '\n';
-      }
-      BatchResult result =
-          batch.ExtractIndexed(plan, *store, &*index, &index_stats);
-      for (size_t i = 0; i < result.per_doc.size(); ++i) {
-        if (result.per_doc[i].empty()) continue;
-        const Document doc = store->MaterializeDoc(i);
-        for (const Mapping& m : result.per_doc[i]) {
-          AppendMappingRow(&out, format, i, m, vars, doc);
+  // Indexed extraction over a persisted corpus: posting-list candidate
+  // lookup, then the normal gate cascade over candidates only, for every
+  // plan at once (a single plan is a fleet of one). Output and report rows
+  // match the full-scan paths byte for byte (matched docs are always
+  // candidates; non-candidates provably have no rows).
+  if (index.has_value()) {
+    MultiQueryExtractor fleet(plans);
+    const bool single = fleet.num_plans() == 1;
+    fleet_header(fleet);
+    IndexedStats index_stats;
+    MultiBatchResult result =
+        batch.ExtractIndexedMulti(fleet, *store, &*index, &index_stats);
+    BatchExtractor::StreamStats run_stats;
+    for (size_t i = 0; i < store->num_docs(); ++i) {
+      bool matched = false;
+      for (size_t p = 0; p < result.per_plan.size(); ++p)
+        matched = matched || !result.per_plan[p].per_doc[i].empty();
+      if (!matched) continue;
+      ++run_stats.matched_documents;
+      const Document doc = store->MaterializeDoc(i);
+      for (size_t p = 0; p < result.per_plan.size(); ++p) {
+        const VarSet& vars = fleet.plan(p).vars();
+        for (const Mapping& m : result.per_plan[p].per_doc[i]) {
+          if (single) {
+            AppendMappingRow(&out, format, i, m, vars, doc);
+          } else {
+            AppendFleetMappingRow(&out, format, p, i, m, vars, doc);
+          }
           flush_if_large();
         }
       }
-      writer.Write(out);
-      out.clear();
-      run_stats.total_mappings = result.total_mappings;
-      run_stats.matched_documents = result.MatchedDocuments();
-      run_stats.shards = result.shards;
-      report.plans.push_back(PlanReport{"", plan.info().ToString(),
-                                        plan.stats(),
-                                        plan.lazy_dfa().stats()});
-    } else {
-      MultiQueryExtractor fleet(plans);
-      if (format == OutputFormat::kTsv && header) {
-        std::vector<const VarSet*> vars_per_plan;
-        vars_per_plan.reserve(fleet.num_plans());
-        for (size_t p = 0; p < fleet.num_plans(); ++p)
-          vars_per_plan.push_back(&fleet.plan(p).vars());
-        out += FleetTsvHeader(vars_per_plan);
-      }
-      MultiBatchResult result =
-          batch.ExtractIndexedMulti(fleet, *store, &*index, &index_stats);
-      for (size_t i = 0; i < store->num_docs(); ++i) {
-        bool matched = false;
-        for (size_t p = 0; p < result.per_plan.size(); ++p)
-          matched = matched || !result.per_plan[p].per_doc[i].empty();
-        if (!matched) continue;
-        ++run_stats.matched_documents;
-        const Document doc = store->MaterializeDoc(i);
-        for (size_t p = 0; p < result.per_plan.size(); ++p) {
-          const VarSet& vars = fleet.plan(p).vars();
-          for (const Mapping& m : result.per_plan[p].per_doc[i]) {
-            AppendFleetMappingRow(&out, format, p, i, m, vars, doc);
-            flush_if_large();
-          }
-        }
-      }
-      writer.Write(out);
-      out.clear();
-      run_stats.total_mappings = result.total_mappings;
-      run_stats.shards = result.shards;
-      report.fleet = fleet.ToString();
-      for (size_t p = 0; p < fleet.num_plans(); ++p) {
-        const ExtractionPlan& plan = fleet.plan(p);
-        report.plans.push_back(PlanReport{"q" + std::to_string(p),
-                                          plan.info().ToString(),
-                                          fleet.plan_stats(p),
-                                          plan.lazy_dfa().stats()});
-      }
-      report.have_cache = true;
-      report.cache = cache.stats();
     }
+    writer.Write(out);
+    out.clear();
+    run_stats.total_mappings = result.total_mappings;
+    run_stats.shards = result.shards;
 
+    EngineReport report = fleet_report(fleet);
     report.have_index = true;
     report.index_info = index->ToString();
     report.index_stats = index_stats;
@@ -846,13 +837,7 @@ int main(int argc, char** argv) {
   // leading `query` column (the 0-based position of the pattern on the
   // command line / in the patterns file), doc-major then query-minor.
   MultiQueryExtractor fleet(plans);
-  if (format == OutputFormat::kTsv && header) {
-    std::vector<const VarSet*> vars_per_plan;
-    vars_per_plan.reserve(fleet.num_plans());
-    for (size_t p = 0; p < fleet.num_plans(); ++p)
-      vars_per_plan.push_back(&fleet.plan(p).vars());
-    out += FleetTsvHeader(vars_per_plan);
-  }
+  fleet_header(fleet);
   BatchExtractor::StreamStats result = batch.ExtractMultiStream(
       fleet, corpus,
       [&](size_t doc_begin, size_t doc_end,
@@ -871,17 +856,7 @@ int main(int argc, char** argv) {
       });
   writer.Write(out);
 
-  EngineReport report;
-  report.fleet = fleet.ToString();
-  for (size_t p = 0; p < fleet.num_plans(); ++p) {
-    const ExtractionPlan& plan = fleet.plan(p);
-    report.plans.push_back(PlanReport{"q" + std::to_string(p),
-                                      plan.info().ToString(),
-                                      fleet.plan_stats(p),
-                                      plan.lazy_dfa().stats()});
-  }
-  report.have_cache = true;
-  report.cache = cache.stats();
+  EngineReport report = fleet_report(fleet);
   finish(std::move(report), result);
   return OutputExit(writer);
 }
