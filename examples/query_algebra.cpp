@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
   std::cout << "cache:   " << cs.size << " plans, " << cs.hits << " hits, "
             << cs.misses << " misses\n";
 
-  // The compiled query is a DocumentExtractor: the batch engine shards,
-  // steals work and produces thread-count-independent output exactly as
-  // it does for single-pattern plans.
+  // The compiled query is a DocumentExtractor: the batch engine shards
+  // the corpus across its workers and produces thread-count-independent
+  // output exactly as it does for single-pattern plans.
   uint64_t reference = 0;
   for (size_t threads : {1, 8}) {
     BatchOptions bopt;

@@ -12,9 +12,9 @@ namespace spanners {
 
 namespace {
 
-// Table + subset footprint of one state (mirrored by eviction accounting).
-size_t StateBytes(size_t num_atoms, size_t subset_size) {
-  return (num_atoms + 1) * sizeof(uint32_t) + subset_size * sizeof(StateId);
+// Table + subset footprint of one state.
+size_t StateBytes(size_t stride, size_t subset_size) {
+  return stride * sizeof(uint32_t) + subset_size * sizeof(StateId);
 }
 
 /// Shared gate-health metrics of every lazy DFA in the process. Misses,
@@ -24,7 +24,6 @@ size_t StateBytes(size_t num_atoms, size_t subset_size) {
 /// writer contention on the transition cache becomes visible.
 struct DfaMetrics {
   obs::Histogram* lock_wait_ns;
-  obs::Histogram* evict_ns;
   obs::Counter* misses;
   obs::Counter* evictions;
   obs::Counter* fallbacks;
@@ -35,7 +34,6 @@ const DfaMetrics& Metrics() {
     obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
     DfaMetrics m;
     m.lock_wait_ns = r.GetHistogram("lazy_dfa.lock_wait_ns");
-    m.evict_ns = r.GetHistogram("lazy_dfa.evict_ns");
     m.misses = r.GetCounter("lazy_dfa.misses");
     m.evictions = r.GetCounter("lazy_dfa.evictions");
     m.fallbacks = r.GetCounter("lazy_dfa.fallbacks");
@@ -63,16 +61,10 @@ LazyDfa::LazyDfa(const VA& a, LazyDfaOptions options)
       if (atoms_[i].Contains(static_cast<char>(b)))
         byte_to_atom_[b] = static_cast<uint16_t>(i + 1);
 
-  // State 0 is the dead state (empty subset, self-loop on every atom).
-  states_.push_back(State{{},
-                          std::vector<uint32_t>(atoms_.size() + 1, kDeadState),
-                          false,
-                          0});
-  interned_.emplace(std::vector<StateId>{}, kDeadState);
-  table_bytes_ = states_[0].row.size() * sizeof(uint32_t);
-
-  start_state_ = Intern(Closure({a.initial()}), kDeadState);
-  SPANNERS_CHECK(start_state_ != kUnknownState)
+  stride_ = static_cast<uint32_t>(atoms_.size() + 1);
+  start_subset_ = Closure({a.initial()});
+  Clear();
+  SPANNERS_CHECK(accepting_.size() == 2)
       << "lazy-DFA bounds too small for even the start state";
 }
 
@@ -95,183 +87,130 @@ std::vector<StateId> LazyDfa::Closure(std::vector<StateId> subset) const {
   return subset;
 }
 
-size_t LazyDfa::EvictColdStates(uint32_t pinned) const {
-  obs::ObsSpan span(Metrics().evict_ns, "dfa_evict");
-  // Candidates: every resident state except the two structural anchors
-  // and the state the caller is mid-extension on.
-  std::vector<uint32_t> candidates;
-  candidates.reserve(states_.size());
-  std::vector<uint8_t> is_free(states_.size(), 0);
-  for (uint32_t id : free_slots_) is_free[id] = 1;
-  for (uint32_t id = 0; id < states_.size(); ++id) {
-    if (id == kDeadState || id == start_state_ || id == pinned ||
-        is_free[id])
-      continue;
-    candidates.push_back(id);
-  }
-  if (candidates.empty()) return 0;
-
-  // Evict the coldest quarter (at least one): enough room that the next
-  // misses do not immediately re-evict, small enough to keep the hot set.
-  const size_t count = std::max<size_t>(1, candidates.size() / 4);
-  std::nth_element(candidates.begin(), candidates.begin() + (count - 1),
-                   candidates.end(), [this](uint32_t a, uint32_t b) {
-                     return states_[a].last_used < states_[b].last_used;
-                   });
-  candidates.resize(count);
-
-  std::vector<uint8_t> evicted(states_.size(), 0);
-  for (uint32_t id : candidates) {
-    State& s = states_[id];
-    table_bytes_ -= StateBytes(atoms_.size(), s.subset.size());
-    interned_.erase(s.subset);
-    std::vector<StateId>().swap(s.subset);
-    std::vector<uint32_t>().swap(s.row);
-    evicted[id] = 1;
-    free_slots_.push_back(id);
-  }
-  // Surviving rows must not point at recycled ids: reset those entries to
-  // "not yet computed". One pass over the table; eviction is rare and
-  // batched, so the cost amortizes across many misses.
-  for (uint32_t id = 0; id < states_.size(); ++id) {
-    State& s = states_[id];
-    if (s.row.empty()) continue;  // dead slot
-    for (uint32_t& to : s.row)
-      if (to != kUnknownState && evicted[to]) to = kUnknownState;
-  }
-  ++generation_;
-  evictions_ += count;
-  if (obs::Enabled()) Metrics().evictions->Add(count);
-  return count;
-}
-
-uint32_t LazyDfa::Intern(std::vector<StateId> subset, uint32_t pinned) const {
+uint32_t LazyDfa::Intern(const std::vector<StateId>& subset) const {
   auto it = interned_.find(subset);
-  if (it != interned_.end()) {
-    states_[it->second].last_used = ++use_clock_;
-    return it->second;
-  }
+  if (it != interned_.end()) return it->second;
+  const size_t bytes = StateBytes(stride_, subset.size());
+  if (accepting_.size() >= options_.max_states ||
+      table_bytes_ + bytes > options_.max_table_bytes)
+    return kUnknown;
 
-  // At a bound: shed the cold tail and retry. When nothing is evictable
-  // (bounds below even a handful of states) the caller falls back to NFA
-  // simulation for this transition's documents.
-  const size_t state_bytes = StateBytes(atoms_.size(), subset.size());
-  if (free_slots_.empty() &&
-      states_.size() - free_slots_.size() >= options_.max_states &&
-      EvictColdStates(pinned) == 0)
-    return kUnknownState;
-  if (table_bytes_ + state_bytes > options_.max_table_bytes &&
-      (EvictColdStates(pinned) == 0 ||
-       table_bytes_ + state_bytes > options_.max_table_bytes))
-    return kUnknownState;
-
-  bool accepting = false;
-  for (StateId q : subset)
-    if (va_.IsFinal(q)) {
-      accepting = true;
-      break;
-    }
-
-  uint32_t id;
-  if (!free_slots_.empty()) {
-    id = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    id = static_cast<uint32_t>(states_.size());
-    states_.emplace_back();
-  }
-  interned_.emplace(subset, id);
-  State& s = states_[id];
-  s.subset = std::move(subset);
-  s.row.assign(atoms_.size() + 1, kUnknownState);
-  s.row[0] = kDeadState;
-  s.accepting = accepting;
-  s.last_used = ++use_clock_;
-  table_bytes_ += state_bytes;
+  const uint32_t id = static_cast<uint32_t>(table_.size());
+  it = interned_.emplace(subset, id).first;
+  subsets_.push_back(&it->first);
+  accepting_.push_back(std::any_of(subset.begin(), subset.end(),
+                                   [&](StateId q) { return va_.IsFinal(q); }));
+  table_.resize(table_.size() + stride_, kUnknown);
+  table_[id] = kDead;
+  table_bytes_ += bytes;
   return id;
 }
 
-uint32_t LazyDfa::ComputeTransition(uint32_t from, uint32_t atom) const {
-  SPANNERS_DCHECK(atom > 0 && atom <= atoms_.size());
+void LazyDfa::Clear() const {
+  // The start row is rebuilt too: its entries may name dropped states.
+  const size_t dropped = accepting_.size() > 2 ? accepting_.size() - 2 : 0;
+  evictions_ += dropped;
+  if (dropped > 0 && obs::Enabled()) Metrics().evictions->Add(dropped);
+  table_.clear();
+  accepting_.clear();
+  subsets_.clear();
+  interned_.clear();
+  table_bytes_ = 0;
+  // The dead row holds only kUnknown, so a scan standing on it leaves
+  // the warm loop on its next byte and answers false (see Follow).
+  if (Intern({}) == kDead) std::fill_n(table_.begin(), stride_, kUnknown);
+  Intern(start_subset_);
+}
+
+uint32_t LazyDfa::Extend(uint32_t* cur, uint32_t atom) const {
+  SPANNERS_DCHECK(atom > 0 && atom < stride_);
   ++misses_;
   if (obs::Enabled()) Metrics().misses->Add(1);
-  states_[from].last_used = ++use_clock_;
   // Atoms refine every letter CharSet, so one representative byte decides
   // whether the whole atom is inside a transition's class.
   const char rep = atoms_[atom - 1].AnyMember();
   std::vector<StateId> next;
-  for (StateId q : states_[from].subset)
+  for (StateId q : *subsets_[*cur / stride_])
     for (const VaTransition& t : va_.TransitionsFrom(q))
       if (t.kind == TransKind::kChars && t.chars.Contains(rep))
         next.push_back(t.to);
   std::sort(next.begin(), next.end());
   next.erase(std::unique(next.begin(), next.end()), next.end());
+  next = Closure(std::move(next));
 
-  const uint32_t to = Intern(Closure(std::move(next)), from);
-  if (to != kUnknownState) states_[from].row[atom] = to;
+  uint32_t to = Intern(next);
+  if (to == kUnknown) {
+    // Full: clear, stand on the current subset again, and retry there.
+    const std::vector<StateId> here = *subsets_[*cur / stride_];
+    Clear();
+    *cur = Intern(here);
+    if (*cur == kUnknown) return kUnknown;
+    to = Intern(next);
+  }
+  if (to != kUnknown) table_[*cur + atom] = to;
   return to;
+}
+
+LazyDfa::Walk LazyDfa::Follow(std::string_view text, size_t* pos,
+                              uint32_t* cur, CancelToken* cancel) const {
+  constexpr size_t kChunk = CancelGauge::kScanChunkBytes;
+  const uint32_t* table = table_.data();
+  uint32_t s = *cur;
+  for (size_t i = *pos; i < text.size();) {
+    // Poll once per chunk, not per byte: the check stays off the per-byte
+    // fast path. Tripped ⇒ nullopt; the caller must consult the token
+    // before treating this as a capacity fallback.
+    if (cancel != nullptr && i % kChunk == 0 && cancel->Poll(0))
+      return Walk::kCancelled;
+    const size_t end = std::min(text.size(), i - i % kChunk + kChunk);
+    for (; i < end; ++i) {
+      const uint32_t next =
+          table[s + byte_to_atom_[static_cast<unsigned char>(text[i])]];
+      if (next == kUnknown) {  // a miss, or the dead row (see Clear)
+        *pos = i;
+        *cur = s;
+        return s == kDead ? Walk::kDone : Walk::kMiss;
+      }
+      s = next;
+    }
+  }
+  *cur = s;
+  return Walk::kDone;
 }
 
 std::optional<bool> LazyDfa::Matches(std::string_view text,
                                      CancelToken* cancel) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  for (size_t attempt = 0; attempt <= options_.max_restarts; ++attempt) {
-    // The scan is valid as long as no eviction recycles a state it is
-    // standing on; generation_ changes exactly when that may have
-    // happened, and the scan restarts from the top of the document.
-    uint64_t gen = generation_;
-    uint32_t cur = start_state_;
-    bool restart = false;
-    for (size_t i = 0; i < text.size() && !restart; ++i) {
-      // Poll once per chunk, not per byte: the check stays off the
-      // per-byte fast path. Tripped ⇒ nullopt; the caller must consult
-      // the token before treating this as a capacity fallback.
-      if (cancel != nullptr &&
-          (i & (CancelGauge::kScanChunkBytes - 1)) == 0 && cancel->Poll(0))
-        return std::nullopt;
-      if (cur == kDeadState) return false;
-      const uint16_t atom =
-          byte_to_atom_[static_cast<unsigned char>(text[i])];
-      uint32_t next = states_[cur].row[atom];
-      if (next == kUnknownState) {
-        // Cache miss: upgrade to the exclusive lock, compute (or observe
-        // a racing computation), then drop back to shared mode.
-        lock.unlock();
-        {
-          const uint64_t wait_start =
-              obs::Enabled() ? obs::NowNanos() : 0;
-          std::unique_lock<std::shared_mutex> wlock(mu_);
-          if (wait_start != 0)
-            Metrics().lock_wait_ns->Record(obs::NowNanos() - wait_start);
-          if (generation_ != gen) {
-            // An eviction ran while unlocked; `cur` may be recycled.
-            restart = true;
-          } else {
-            next = states_[cur].row[atom];
-            if (next == kUnknownState) next = ComputeTransition(cur, atom);
-            if (next == kUnknownState) {
-              // No room even after eviction: this call gives up (the
-              // caller simulates); later calls start over.
-              fallbacks_.fetch_add(1, std::memory_order_relaxed);
-              if (obs::Enabled()) Metrics().fallbacks->Add(1);
-              return std::nullopt;
-            }
-            // ComputeTransition may itself have evicted (never `cur` or
-            // `next`, which are pinned/fresh): adopt the new generation
-            // and continue — earlier path states no longer matter.
-            gen = generation_;
-          }
-        }
-        lock.lock();
-        if (!restart && generation_ != gen) restart = true;  // raced again
-      }
-      if (!restart) cur = next;
-    }
-    if (!restart) return states_[cur].accepting;
+  size_t pos = 0;
+  uint32_t cur = stride_;  // the start state: row 1
+  std::vector<StateId> subset;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    const Walk walk = Follow(text, &pos, &cur, cancel);
+    if (walk == Walk::kCancelled) return std::nullopt;
+    if (walk == Walk::kDone) return accepting(cur);
+    // First miss: carry the subset, not the id, across the unlocked
+    // window — a clear may run before the exclusive lock is ours.
+    subset = *subsets_[cur / stride_];
   }
-  // Concurrent evictions kept invalidating the scan: thrashing working
-  // set. Give up on the DFA for this call only.
-  fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t wait_start = obs::Enabled() ? obs::NowNanos() : 0;
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (wait_start != 0)
+    Metrics().lock_wait_ns->Record(obs::NowNanos() - wait_start);
+  cur = Intern(subset);
+  if (cur == kUnknown) {  // a clear ran while unlocked and left no room
+    Clear();
+    cur = Intern(subset);
+  }
+  while (cur != kUnknown) {
+    const Walk walk = Follow(text, &pos, &cur, cancel);
+    if (walk == Walk::kCancelled) return std::nullopt;
+    if (walk == Walk::kDone) return accepting(cur);
+    const uint32_t atom = byte_to_atom_[static_cast<unsigned char>(text[pos])];
+    if (Extend(&cur, atom) == kUnknown) break;
+  }
+  // Even a cleared cache cannot hold this call's states: the caller
+  // simulates; later calls start over.
+  ++fallbacks_;
   if (obs::Enabled()) Metrics().fallbacks->Add(1);
   return std::nullopt;
 }
@@ -280,10 +219,10 @@ LazyDfaStats LazyDfa::stats() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   LazyDfaStats s;
   s.num_atoms = atoms_.size();
-  s.num_states = states_.size() - free_slots_.size();
+  s.num_states = accepting_.size();
   s.misses = misses_;
   s.evictions = evictions_;
-  s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
+  s.fallbacks = fallbacks_;
   s.overflowed = s.fallbacks > 0;
   return s;
 }

@@ -15,25 +15,28 @@
 //    ⟦A⟧_doc = ∅. The engine only acts on the negative answer when the
 //    VA is not sequential.
 //
-// The transition cache is shared across documents and threads: readers
-// walk the tables under a shared lock; a missing transition is computed
-// once under the exclusive lock. Memory is bounded (max states / bytes);
-// at the bound the cache evicts its coldest states (least recently
-// touched by a transition computation) instead of giving up, so a plan
-// whose working set exceeds the budget keeps its hot core resident and
-// stays on the fast path. Readers detect an eviction through a generation
-// counter and restart the document scan; a scan that restarts too often
-// (a genuinely thrashing working set) reports "unknown" for that call
-// only, and the caller decides by NFA state-set simulation — answers stay
-// exact either way.
+// The cache is one flat transition table shared across documents and
+// threads. State ids are premultiplied row offsets, so a warm step is
+// `next = table_[cur + atom]`. Row 0 is the dead state and row 1 the
+// start state.
+//
+// Memory is bounded (max states / table bytes). When a new state would
+// cross a bound, the cache is cleared down to the dead and start states,
+// the scan's current subset is re-interned, and the scan continues from
+// there — never from the top of the document. A call answers "unknown"
+// (the caller decides by NFA state-set simulation) only when even a
+// cleared cache cannot hold the dead, start, current and next states.
+//
+// Lock protocol: a call walks cached transitions under the shared lock.
+// Its first miss copies the current state's subset, trades the shared
+// lock for the exclusive one, re-enters the cache by that subset (a clear
+// may have run while no lock was held) and finishes the document under
+// the exclusive lock. No state id outlives a lock it was read under.
 #ifndef SPANNERS_AUTOMATA_LAZY_DFA_H_
 #define SPANNERS_AUTOMATA_LAZY_DFA_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string_view>
@@ -45,20 +48,17 @@
 namespace spanners {
 
 struct LazyDfaOptions {
-  /// Upper bound on resident DFA states before cold ones are evicted.
+  /// Upper bound on resident DFA states; crossing it clears the cache.
   size_t max_states = 4096;
-  /// Upper bound on transition-table bytes before cold states are evicted.
+  /// Upper bound on transition-table bytes; crossing it clears the cache.
   size_t max_table_bytes = size_t{16} << 20;
-  /// A single Matches call restarting more than this often (evictions kept
-  /// invalidating its path) reports "unknown" instead of spinning.
-  size_t max_restarts = 8;
 };
 
 struct LazyDfaStats {
   size_t num_atoms = 0;    // alphabet atoms (excluding the dead class)
   size_t num_states = 0;   // resident DFA states
   uint64_t misses = 0;     // transitions computed (cache extensions)
-  uint64_t evictions = 0;  // cold states evicted at the memory bound
+  uint64_t evictions = 0;  // states dropped by clears at the memory bound
   uint64_t fallbacks = 0;  // calls answered "unknown" (caller simulates)
   bool overflowed = false; // at least one call fell back
 };
@@ -73,11 +73,9 @@ class LazyDfa {
   /// Whether the relaxed NFA accepts `text` — amortized one byte→atom
   /// classification plus one table lookup per byte. Thread-safe; the
   /// per-plan transition cache grows across calls and is shared by every
-  /// calling thread. nullopt when this call could not be completed within
-  /// the memory bound (no state had room even after evicting, or
-  /// concurrent evictions kept invalidating the scan): the caller must
-  /// decide by NFA simulation. Later calls try again — an unknown is
-  /// per-call, never sticky.
+  /// calling thread. nullopt when even a cleared cache cannot hold the
+  /// states this call needs: the caller must decide by NFA simulation.
+  /// Later calls try again — an unknown is per-call, never sticky.
   /// A tripped `cancel` token also yields nullopt (polled once per
   /// CancelGauge::kScanChunkBytes input bytes); callers that would react
   /// to nullopt by simulating must check the token first — after a trip
@@ -89,48 +87,37 @@ class LazyDfa {
   LazyDfaStats stats() const;
 
  private:
-  // One interned DFA state: an ε/op-closed, sorted subset of VA states
-  // plus its (lazily filled) successor row, indexed by atom id. Row slot 0
-  // is the dead class (bytes outside every letter CharSet) and always
-  // holds kDeadState. kUnknownState marks a not-yet-computed transition.
-  struct State {
-    std::vector<StateId> subset;
-    std::vector<uint32_t> row;  // size atoms_.size() + 1
-    bool accepting = false;
-    /// Recency for eviction, from use_clock_: bumped when this state is
-    /// created, found by Intern, or extended by ComputeTransition. (A
-    /// fully cached traversal does not bump — cheap reads stay cheap — so
-    /// "cold" means "no transition computed from or into it recently";
-    /// a wrongly evicted hot state is rebuilt by one miss, which re-bumps
-    /// it.)
-    uint64_t last_used = 0;
-  };
-
-  static constexpr uint32_t kDeadState = 0;
-  static constexpr uint32_t kUnknownState = UINT32_MAX;
+  static constexpr uint32_t kDead = 0;
+  static constexpr uint32_t kUnknown = UINT32_MAX;  // not cached / no room
+  enum class Walk { kDone, kMiss, kCancelled };
 
   /// Closure of `subset` under ε and (relaxed) variable-op transitions;
   /// returns the sorted, deduplicated result.
   std::vector<StateId> Closure(std::vector<StateId> subset) const;
 
-  /// Interns `subset` (must be closed+sorted), creating a new state when
-  /// unseen — evicting cold states first if the bounds require it
-  /// (`pinned` is the state the caller is extending and is never
-  /// evicted). Returns kUnknownState when there is no room even after
-  /// eviction. Precondition: exclusive lock held (const: cache members
-  /// are mutable).
-  uint32_t Intern(std::vector<StateId> subset, uint32_t pinned) const;
+  /// Follows cached transitions from `*cur` over text[*pos..], polling
+  /// `cancel` at each kScanChunkBytes boundary. Stops at the end of the
+  /// text or the dead state (kDone), or before the first byte whose
+  /// transition is not cached (kMiss). Precondition: either lock held.
+  Walk Follow(std::string_view text, size_t* pos, uint32_t* cur,
+              CancelToken* cancel) const;
 
-  /// Evicts the coldest ~quarter of resident states (never the dead
-  /// state, the start state, or `pinned`): un-interns them, clears their
-  /// rows, resets every surviving row entry that pointed at them to
-  /// kUnknownState, and bumps generation_ so in-flight readers restart.
-  /// Returns the number of states evicted. Precondition: exclusive lock.
-  size_t EvictColdStates(uint32_t pinned) const;
+  /// The id of `subset` (closed, sorted), appending a row for it when
+  /// unseen; kUnknown when a new row would cross a bound. Precondition:
+  /// exclusive lock held (const: cache members are mutable).
+  uint32_t Intern(const std::vector<StateId>& subset) const;
 
-  /// Computes states_[from].row[atom]. Precondition: exclusive lock held.
-  /// Returns kUnknownState when the bounds leave no room.
-  uint32_t ComputeTransition(uint32_t from, uint32_t atom) const;
+  /// Drops every row but the dead and start states. Precondition:
+  /// exclusive lock held.
+  void Clear() const;
+
+  /// Computes and caches the transition of `*cur` on `atom`. When the
+  /// target does not fit, clears the cache and re-interns `*cur`'s subset
+  /// (updating `*cur`) first. kUnknown when even a cleared cache cannot
+  /// hold both. Precondition: exclusive lock held.
+  uint32_t Extend(uint32_t* cur, uint32_t atom) const;
+
+  bool accepting(uint32_t id) const { return accepting_[id / stride_]; }
 
   // Owned copy: plans embedding a LazyDfa stay movable (a reference into
   // the embedding object would dangle after a move).
@@ -138,21 +125,22 @@ class LazyDfa {
   const LazyDfaOptions options_;
   std::vector<CharSet> atoms_;     // disjoint; atom id = index + 1
   uint16_t byte_to_atom_[256];     // 0 = dead class
-  uint32_t start_state_;
+  uint32_t stride_;                // row width: atoms_.size() + 1
+  std::vector<StateId> start_subset_;
 
   mutable std::shared_mutex mu_;
-  // deque: stable addresses across growth (readers hold references while
-  // the writer appends). Evicted slots are recycled via free_slots_.
-  mutable std::deque<State> states_;
+  // Row r spans table_[r * stride_, (r + 1) * stride_). Column 0 is the
+  // dead class and holds kDead, except in the dead row, which holds only
+  // kUnknown (see Clear).
+  mutable std::vector<uint32_t> table_;
+  mutable std::vector<uint8_t> accepting_;  // per row
+  // Row → its key in interned_ (map nodes never move).
+  mutable std::vector<const std::vector<StateId>*> subsets_;
   mutable std::map<std::vector<StateId>, uint32_t> interned_;
-  mutable std::vector<uint32_t> free_slots_;
   mutable size_t table_bytes_ = 0;
   mutable uint64_t misses_ = 0;
-  mutable uint64_t use_clock_ = 0;   // advanced per transition computation
-  mutable uint64_t generation_ = 0;  // advanced per eviction batch
   mutable uint64_t evictions_ = 0;
-  // Incremented under the shared lock (reader gave up): atomic.
-  mutable std::atomic<uint64_t> fallbacks_{0};
+  mutable uint64_t fallbacks_ = 0;
 };
 
 }  // namespace spanners

@@ -184,8 +184,8 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   const size_t outputs = step.outputs();
   if (outputs == 0) return stats;
 
-  // Byte-balanced shards, ≈ threads × oversubscription of them so work
-  // stealing can rebalance skewed documents.
+  // Byte-balanced shards, ≈ threads × oversubscription of them so idle
+  // workers take the next queued shard when documents are skewed.
   ShardingOptions sharding;
   sharding.max_shards = pool_.num_threads() *
                         std::max<size_t>(1, options_.shard_oversubscription);

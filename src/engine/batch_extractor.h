@@ -1,4 +1,4 @@
-// BatchExtractor: extracts a corpus on a fixed work-stealing thread pool.
+// BatchExtractor: extracts a corpus on a fixed thread pool.
 // Every entry point is one shard driver over three axes:
 //   - source: a Corpus, or a SegmentStore's index candidates;
 //   - step:   one DocumentExtractor (a compiled pattern plan or a whole
@@ -6,8 +6,9 @@
 //   - sink:   the caller's per-document result slots, or per-shard slices
 //             streamed to a consumer in corpus order.
 // The documents are cut into byte-balanced shards (≈ oversubscription ×
-// threads of them, so stealing can rebalance skew); each worker extracts
-// its shard's documents into slots fixed by document position. Output is
+// threads of them, so a worker that finishes early takes the next shard
+// from the pool's queue and skew evens out); each worker extracts its
+// shard's documents into slots fixed by document position. Output is
 // therefore deterministic and independent of the thread count:
 // per_doc[i] is the sorted ⟦γ⟧_{d_i}.
 #ifndef SPANNERS_ENGINE_BATCH_EXTRACTOR_H_

@@ -67,7 +67,7 @@ struct Shard {
 
 struct ShardingOptions {
   /// Upper bound on the number of shards (≈ threads × oversubscription so
-  /// work stealing can rebalance skewed documents).
+  /// idle workers take the next queued shard when documents are skewed).
   size_t max_shards = 1;
   /// Lower bound on documents per shard; avoids drowning tiny corpora in
   /// scheduling overhead.

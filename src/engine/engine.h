@@ -1,7 +1,7 @@
 // Umbrella header for the batch-extraction engine: compiled plans with
 // one-time analysis (plan.h), a process-wide LRU plan cache
-// (plan_cache.h), corpora and sharding (corpus.h), the work-stealing
-// thread pool (thread_pool.h), parallel corpus extraction
+// (plan_cache.h), corpora and sharding (corpus.h), the FIFO thread pool
+// (thread_pool.h), parallel corpus extraction
 // (batch_extractor.h) and wire formatting (format.h).
 //
 // Quickstart:

@@ -20,9 +20,9 @@ size_t ThreadPool::DefaultThreads() {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = DefaultThreads();
-  workers_ = std::vector<Worker>(num_threads);
+  threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i)
-    workers_[i].thread = std::thread([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -31,14 +31,13 @@ ThreadPool::~ThreadPool() {
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  for (Worker& w : workers_) w.thread.join();
+  for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    workers_[next_worker_].queue.push_back(std::move(task));
-    next_worker_ = (next_worker_ + 1) % workers_.size();
+    queue_.push_back(std::move(task));
     ++pending_;
   }
   work_cv_.notify_one();
@@ -49,36 +48,13 @@ void ThreadPool::WaitIdle() {
   idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-bool ThreadPool::TryPop(size_t self, std::function<void()>* task) {
-  Worker& own = workers_[self];
-  if (!own.queue.empty()) {
-    *task = std::move(own.queue.front());
-    own.queue.pop_front();
-    return true;
-  }
-  // Steal from the busiest victim's back (oldest task: most likely large).
-  size_t victim = workers_.size();
-  size_t best = 0;
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    if (i == self) continue;
-    if (workers_[i].queue.size() > best) {
-      best = workers_[i].queue.size();
-      victim = i;
-    }
-  }
-  if (victim == workers_.size()) return false;
-  *task = std::move(workers_[victim].queue.back());
-  workers_[victim].queue.pop_back();
-  steals_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void ThreadPool::WorkerLoop(size_t self) {
   tls_worker_index = self;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    if (TryPop(self, &task)) {
+    if (!queue_.empty()) {
+      std::function<void()> task = std::move(queue_.front());
+      queue_.pop_front();
       lock.unlock();
       task();
       task = nullptr;  // destroy captures outside the lock

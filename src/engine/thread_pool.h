@@ -1,11 +1,10 @@
-// A fixed-size thread pool with per-worker deques and work stealing: a
-// worker services its own deque LIFO (cache-friendly) and steals FIFO from
-// the back of a victim's deque when idle, so a skewed shard distribution
-// rebalances without a central contended queue.
+// A fixed-size thread pool over one FIFO task queue. Workers pop from its
+// front under the pool mutex, so tasks start in submission order: a
+// batch's shards start in corpus order, which is also the order the
+// stream drain hands them to its consumer.
 #ifndef SPANNERS_ENGINE_THREAD_POOL_H_
 #define SPANNERS_ENGINE_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -27,19 +26,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return workers_.size(); }
+  size_t num_threads() const { return threads_.size(); }
 
-  /// Enqueues `task` on a worker deque (round-robin). Thread-safe.
+  /// Appends `task` to the queue. Thread-safe.
   void Submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished. Thread-safe, but
   /// tasks themselves must not call WaitIdle.
   void WaitIdle();
-
-  /// Tasks stolen from another worker's deque (for tests / tuning).
-  uint64_t steal_count() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
 
   /// Index of the pool worker executing the current task, in
   /// [0, num_threads()), or SIZE_MAX when called off a pool thread. Lets
@@ -50,24 +44,15 @@ class ThreadPool {
   static size_t DefaultThreads();
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> queue;  // guarded by pool mutex
-    std::thread thread;
-  };
-
   void WorkerLoop(size_t self);
-  /// Pops from own front, else steals from some victim's back.
-  /// Precondition: mu_ held.
-  bool TryPop(size_t self, std::function<void()>* task);
 
-  std::vector<Worker> workers_;
+  std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;  // work available or shutting down
   std::condition_variable idle_cv_;  // pending_ dropped to zero
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
   size_t pending_ = 0;               // queued + running tasks
-  size_t next_worker_ = 0;           // round-robin submit cursor
   bool shutdown_ = false;
-  std::atomic<uint64_t> steals_{0};
 };
 
 }  // namespace engine

@@ -14,7 +14,8 @@
 //   engine.*      plan-level counters (documents, mappings, tier skips)
 //   tier.*_ns     per-tier time histograms (one Record per document that
 //                 entered the tier)
-//   lazy_dfa.*    transition-cache internals (lock waits, evictions)
+//   lazy_dfa.*    transition-cache internals (lock waits, misses, states
+//                 dropped by clears, fallbacks)
 //   plan_cache.*  hit/miss/eviction counters
 //   query.*_ns    relational-operator time histograms
 //   mem.*         allocation accounting

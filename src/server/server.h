@@ -11,8 +11,7 @@
 //                 │    partial-write buffering)                      │
 //                 │                                                  ▼
 //                 ◄── per-connection output buffers ◄── BatchExtractor
-//                      (watermark backpressure)          (work-stealing
-//                                                         ThreadPool)
+//                      (watermark backpressure)          (ThreadPool)
 //
 // The I/O thread owns every socket and all session state (registered
 // plan handles → PlanCache entries); it answers control-plane requests

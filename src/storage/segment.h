@@ -28,7 +28,7 @@
 // segment is rejected with Status::Corruption and never reaches the
 // engine. Readers after a successful Open never re-validate.
 //
-// Writing reuses the engine's work-stealing ThreadPool to checksum pages
+// Writing reuses the engine's ThreadPool to checksum pages
 // in parallel (the write path is sequential-IO-bound; checksums are the
 // CPU part). Documents materialized out of the store copy their bytes, so
 // extraction results never dangle when the store closes.

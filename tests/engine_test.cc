@@ -1,5 +1,5 @@
 // Tests for the batch-extraction engine: corpora and sharding, extraction
-// plans (evaluator agreement), the work-stealing pool, batch determinism
+// plans (evaluator agreement), the thread pool, batch determinism
 // across thread counts, and wire formatting.
 #include <gtest/gtest.h>
 
@@ -139,6 +139,16 @@ TEST(ThreadPoolTest, TasksMaySubmitTasks) {
     });
   pool.WaitIdle();
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // written by the one worker only
+  for (int i = 0; i < 100; ++i)
+    pool.Submit([&order, i] { order.push_back(i); });
+  pool.WaitIdle();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
 // ---- ExtractionPlan ----------------------------------------------------

@@ -1,12 +1,14 @@
 // Tests for the lazy-DFA membership tier: atom partitioning, agreement
 // with the Theorem 5.7 state-set simulation on sequential VAs, soundness
-// of the negative answer on arbitrary VAs, the bounded-cache overflow
-// path, and cross-thread sharing of the transition cache.
+// of the negative answer on arbitrary VAs, the bounded cache's clear
+// policy and fallback path, and cross-thread sharing of the transition
+// cache.
 #include "automata/lazy_dfa.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <thread>
 #include <vector>
@@ -62,6 +64,12 @@ Document RandomDoc(std::string_view letters, size_t max_len,
   return workload::RandomDocument(letters, len_pick(*rng), rng);
 }
 
+LazyDfaOptions MaxStates(size_t max_states) {
+  LazyDfaOptions o;
+  o.max_states = max_states;
+  return o;
+}
+
 TEST(LazyDfaTest, AgreesWithStateSetSimulationOnSequentialPatterns) {
   std::mt19937 rng(17);
   workload::RandomRgxOptions o;
@@ -71,13 +79,16 @@ TEST(LazyDfaTest, AgreesWithStateSetSimulationOnSequentialPatterns) {
   for (int round = 0; round < 40; ++round) {
     Spanner s = Spanner::FromRgx(workload::RandomRgx(o, &rng));
     ASSERT_TRUE(s.is_sequential());
-    LazyDfa dfa(s.va());
+    // The default bound, and tiny ones that clear in the middle of calls.
+    LazyDfa dfa(s.va()), dfa4(s.va(), MaxStates(4)), dfa6(s.va(), MaxStates(6));
     for (int d = 0; d < 25; ++d) {
       Document doc = RandomDoc("ab", 12, &rng);
-      std::optional<bool> got = dfa.Matches(doc.text());
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(*got, MatchesSequential(s.va(), doc))
-          << "round " << round << " doc '" << doc.text() << "'";
+      for (const LazyDfa* bounded : {&dfa, &dfa4, &dfa6}) {
+        std::optional<bool> got = bounded->Matches(doc.text());
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, MatchesSequential(s.va(), doc))
+            << "round " << round << " doc '" << doc.text() << "'";
+      }
     }
   }
 }
@@ -87,14 +98,17 @@ TEST(LazyDfaTest, NegativeAnswerIsSoundOnArbitraryVas) {
   for (int round = 0; round < 30; ++round) {
     VA a = workload::RandomVa(6, 2, "ab", &rng);
     if (a.NumStates() < 2) continue;
-    LazyDfa dfa(a);
+    LazyDfa dfa(a), dfa4(a, MaxStates(4)), dfa6(a, MaxStates(6));
     for (int d = 0; d < 20; ++d) {
       Document doc = RandomDoc("ab", 8, &rng);
-      std::optional<bool> got = dfa.Matches(doc.text());
-      ASSERT_TRUE(got.has_value());
-      if (!*got)
-        EXPECT_TRUE(RunEval(a, doc).empty())
-            << "round " << round << " doc '" << doc.text() << "'";
+      for (const LazyDfa* bounded : {&dfa, &dfa4, &dfa6}) {
+        std::optional<bool> got = bounded->Matches(doc.text());
+        ASSERT_TRUE(got.has_value());
+        if (!*got) {
+          EXPECT_TRUE(RunEval(a, doc).empty())
+              << "round " << round << " doc '" << doc.text() << "'";
+        }
+      }
     }
   }
 }
@@ -188,6 +202,57 @@ TEST(LazyDfaTest, ThrashingSharedCacheStaysExactAcrossThreads) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_GT(answered.load(), 0u);
+}
+
+// At max_states 4 or 5 a cleared cache still holds the dead, start,
+// current and next states, so every call answers. Clears run in the
+// middle of calls (the long document crosses sixteen 4 KiB poll chunks
+// while inside the variable, under an armed token that never trips), and
+// the scan must resume from its current subset, not the start state.
+TEST(LazyDfaTest, ClearsMidCallAndAnswersEveryCallExactly) {
+  Spanner s = Spanner::FromPattern(".*Seller: (x{[^,\\n]*}),.*").ValueOrDie();
+  std::vector<Document> docs;
+  std::mt19937 rng(11);
+  for (int i = 0; i < 200; ++i)
+    docs.push_back(RandomDoc("Selr: abc,\n", 48, &rng));
+  docs.emplace_back("Seller: Ann, rest");
+  docs.emplace_back(
+      "Seller: " +
+      workload::RandomDocument("Selr: abc", 64 * 1024, &rng).text() +
+      ", rest");
+  std::vector<bool> want;
+  for (const Document& d : docs) want.push_back(MatchesSequential(s.va(), d));
+  ASSERT_TRUE(want.back());
+  CancelToken never;
+  never.ArmDeadline(std::chrono::steady_clock::now() + std::chrono::hours(24));
+
+  for (size_t max_states : {4, 5}) {
+    for (int num_threads : {1, 8}) {
+      SCOPED_TRACE(testing::Message() << "max_states " << max_states
+                                      << ", threads " << num_threads);
+      LazyDfa dfa(s.va(), MaxStates(max_states));
+      std::atomic<size_t> unanswered{0}, wrong{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < num_threads; ++t) {
+        threads.emplace_back([&] {
+          for (size_t i = 0; i < docs.size(); ++i) {
+            std::optional<bool> v = dfa.Matches(docs[i].text(), &never);
+            if (!v.has_value())
+              unanswered.fetch_add(1);
+            else if (*v != want[i])
+              wrong.fetch_add(1);
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      EXPECT_EQ(unanswered.load(), 0u);
+      EXPECT_EQ(wrong.load(), 0u);
+      LazyDfaStats stats = dfa.stats();
+      EXPECT_EQ(stats.fallbacks, 0u);
+      EXPECT_GT(stats.evictions, 0u) << "bound never reached: test is vacuous";
+      EXPECT_LE(stats.num_states, max_states);
+    }
+  }
 }
 
 TEST(LazyDfaTest, TransitionCacheIsSharedAcrossThreads) {

@@ -16,7 +16,7 @@
 # counters. Both modes additionally:
 #   - run the telemetry benches (cycles/byte via perf_event where the
 #     kernel allows it, and the paired metrics-overhead measurement) with
-#     repetitions, and GATE on the median: enabling telemetry may cost at
+#     9 repetitions, and GATE on the median: enabling telemetry may cost at
 #     most 2% of server-log throughput (same-machine paired comparison,
 #     so runner noise cannot flip it);
 #   - run `spanex --metrics=json` on a fleet workload and merge the
@@ -63,15 +63,16 @@ fi
 
 "$BENCH" "${ARGS[@]}"
 
-# Telemetry benches always run with repetitions: the overhead gate is a
-# median of paired same-iteration measurements, which stays meaningful
-# even on a noisy shared runner.
+# Telemetry benches always run with 9 repetitions: each overhead gate is
+# the median of paired same-iteration measurements (sides alternate which
+# runs first). On a 4-vCPU VM a median of 3 swung by more than the 2%
+# bound between runs of the same code; a median of 9 stays inside it.
 TELEM_OUT="$(mktemp)"
 METRICS_OUT="$(mktemp)"
 SERVER_OUT="$(mktemp)"
 trap 'rm -f "$TELEM_OUT" "$METRICS_OUT" "$SERVER_OUT"' EXIT
 "$BENCH" --benchmark_filter='CyclesPerByte|MetricsOverhead|CancelOverhead' \
-         --benchmark_min_time=1 --benchmark_repetitions=3 \
+         --benchmark_min_time=1 --benchmark_repetitions=9 \
          --benchmark_report_aggregates_only=true \
          --benchmark_out="$TELEM_OUT" --benchmark_out_format=json
 

@@ -4,7 +4,7 @@
 // with -0) from files or stdin, compiles one or more RGX patterns — or a
 // composable algebra query (union / join / projection / string-equality
 // selection over rgx and rule leaves) — once, extracts every document in
-// parallel on a work-stealing thread pool, and emits one TSV or JSONL row
+// parallel on a thread pool, and emits one TSV or JSONL row
 // per mapping in deterministic (document, mapping) order regardless of
 // thread count.
 //
