@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
             << cs.misses << " misses\n";
 
   // The compiled query is a DocumentExtractor: the batch engine shards
-  // the corpus across its workers and produces thread-count-independent
+  // the corpus across its threads and produces thread-count-independent
   // output exactly as it does for single-pattern plans.
   uint64_t reference = 0;
   for (size_t threads : {1, 8}) {

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <iterator>
-#include <mutex>
 #include <utility>
 
 #include "obs/span.h"
@@ -145,9 +143,9 @@ size_t BatchResult::MatchedDocuments() const {
 
 BatchExtractor::BatchExtractor(BatchOptions options)
     : options_(options), pool_(options.num_threads) {
-  worker_scratch_.reserve(pool_.num_threads());
+  thread_scratch_.reserve(pool_.num_threads());
   for (size_t i = 0; i < pool_.num_threads(); ++i)
-    worker_scratch_.push_back(std::make_unique<PlanScratch>());
+    thread_scratch_.push_back(std::make_unique<PlanScratch>());
 }
 
 // Step: extracts one document into its outputs' slots — output o's into
@@ -184,8 +182,9 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   const size_t outputs = step.outputs();
   if (outputs == 0) return stats;
 
-  // Byte-balanced shards, ≈ threads × oversubscription of them so idle
-  // workers take the next queued shard when documents are skewed.
+  // Byte-balanced shards, ≈ threads × oversubscription of them so a
+  // thread that finishes early claims the next shard when documents are
+  // skewed.
   ShardingOptions sharding;
   sharding.max_shards = pool_.num_threads() *
                         std::max<size_t>(1, options_.shard_oversubscription);
@@ -202,8 +201,8 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   // The sink: the caller's results, one per output, whose slot d holds
   // document d; or, streaming, per-shard slices — slice[o][i] holds
   // position shard.begin + i of output o — that each shard's task
-  // allocates itself (so in its worker's malloc arena) and the calling
-  // thread drains in order.
+  // allocates itself (so in its thread's malloc arena) and the calling
+  // thread hands to the consumer in order.
   std::vector<std::vector<Mapping>*> result_slots;
   for (size_t o = 0; results != nullptr && o < outputs; ++o) {
     results[o].per_doc.resize(source.num_docs());
@@ -214,61 +213,47 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   struct Slice {
     std::vector<std::vector<std::vector<Mapping>>> per_output;
     std::vector<std::vector<Mapping>*> slots;
-    bool done = false;  // guarded by mu
   };
   std::vector<Slice> slices(results == nullptr ? shards.size() : 0);
-  std::mutex mu;
-  std::condition_variable cv;
 
   // The one task body. Each shard writes only its own slots and its own
-  // row of sums, so nothing but a stream's completion flag needs a lock.
-  // Every worker extracts through its own arena-backed scratch; output
-  // order is fixed by document slot + Mapping sort, so results are
-  // byte-identical for any thread count.
-  auto submit = [&](size_t s) {
-    pool_.Submit([&, s] {
-      const Shard& shard = shards[s];
-      PlanScratch& scratch =
-          *worker_scratch_[ThreadPool::CurrentWorkerIndex()];
-      scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
-      std::vector<Mapping>* const* slots = result_slots.data();
-      if (results == nullptr) {
-        Slice& slice = slices[s];
-        slice.per_output.resize(outputs);
-        for (std::vector<std::vector<Mapping>>& out : slice.per_output) {
-          out.resize(shard.size());
-          slice.slots.push_back(out.data());
+  // row of sums, so nothing needs a lock. Every thread extracts through
+  // its own arena-backed scratch; output order is fixed by document slot +
+  // Mapping sort, so results are byte-identical for any thread count.
+  auto extract = [&](size_t s, size_t thread) {
+    const Shard& shard = shards[s];
+    PlanScratch& scratch = *thread_scratch_[thread];
+    scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
+    std::vector<Mapping>* const* slots = result_slots.data();
+    if (results == nullptr) {
+      Slice& slice = slices[s];
+      slice.per_output.resize(outputs);
+      for (std::vector<std::vector<Mapping>>& out : slice.per_output) {
+        out.resize(shard.size());
+        slice.slots.push_back(out.data());
+      }
+      slots = slice.slots.data();
+    } else {
+      // A reused result's stale slots go back to this thread's pool
+      // first, output by output over the shard, so the step touches only
+      // what it extracts.
+      for (size_t o = 0; o < outputs; ++o)
+        for (size_t j = shard.begin; j < shard.end; ++j) {
+          std::vector<Mapping>& slot = slots[o][source.id(j)];
+          if (!slot.empty()) scratch.pool.RecycleAll(&slot);
         }
-        slots = slice.slots.data();
-      } else {
-        // A reused result's stale slots go back to this worker's pool
-        // first, output by output over the shard, so the step touches only
-        // what it extracts.
-        for (size_t o = 0; o < outputs; ++o)
-          for (size_t j = shard.begin; j < shard.end; ++j) {
-            std::vector<Mapping>& slot = slots[o][source.id(j)];
-            if (!slot.empty()) scratch.pool.RecycleAll(&slot);
-          }
-      }
-      uint64_t* shard_sums = &sums[s * row];
-      size_t shard_matched = 0;
-      for (size_t j = shard.begin; j < shard.end; ++j) {
-        if (cancel_ != nullptr && cancel_->tripped()) break;
-        const size_t d = source.id(j);
-        obs::ObsSpan span(DocHistogram(), "doc", d);
-        const size_t slot = results != nullptr ? d : j - shard.begin;
-        if (step(source.doc(j), &scratch, slots, slot, shard_sums) > 0)
-          ++shard_matched;
-      }
-      matched[s] = shard_matched;
-      if (results == nullptr) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          slices[s].done = true;
-        }
-        cv.notify_all();
-      }
-    });
+    }
+    uint64_t* shard_sums = &sums[s * row];
+    size_t shard_matched = 0;
+    for (size_t j = shard.begin; j < shard.end; ++j) {
+      if (cancel_ != nullptr && cancel_->tripped()) break;
+      const size_t d = source.id(j);
+      obs::ObsSpan span(DocHistogram(), "doc", d);
+      const size_t slot = results != nullptr ? d : j - shard.begin;
+      if (step(source.doc(j), &scratch, slots, slot, shard_sums) > 0)
+        ++shard_matched;
+    }
+    matched[s] = shard_matched;
   };
   auto tally = [&](size_t s) {
     for (size_t o = 0; o < outputs; ++o) {
@@ -279,36 +264,30 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   };
 
   if (results != nullptr) {
-    for (size_t s = 0; s < shards.size(); ++s) submit(s);
-    pool_.WaitIdle();
+    pool_.Run(shards.size(), extract);
     for (size_t s = 0; s < shards.size(); ++s) tally(s);
     return stats;
   }
 
-  // Submitted tasks reference this frame; if the consumer throws, they
-  // must all finish before it unwinds.
-  struct DrainGuard {
-    ThreadPool& pool;
-    ~DrainGuard() { pool.WaitIdle(); }
-  } drain{pool_};
-  // In-flight bound: enough shards to keep every worker busy while the
-  // consumer drains. Submission lags consumption by this window, which
-  // caps materialized results under a slow consumer — strictly below the
-  // whole corpus whenever ShardByBytes can cut more shards than the
-  // window, i.e. when shard_oversubscription ≥ 3.
+  // Streaming: extract a window of shards, then hand them to the consumer
+  // in corpus order. The window caps materialized results under a slow
+  // consumer — strictly below the whole corpus whenever ShardByBytes can
+  // cut more shards than the window, i.e. when shard_oversubscription ≥ 3.
+  // No task runs while the consumer does, so a throwing consumer unwinds
+  // only this frame.
   const size_t window = std::max<size_t>(1, pool_.num_threads() * 2);
-  size_t next = 0;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    while (next < shards.size() && next < s + window) submit(next++);
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return slices[s].done; });
+  for (size_t begin = 0; begin < shards.size(); begin += window) {
+    const size_t end = std::min(begin + window, shards.size());
+    pool_.Run(end - begin, [&](size_t i, size_t thread) {
+      extract(begin + i, thread);
+    });
+    for (size_t s = begin; s < end; ++s) {
+      tally(s);
+      (*consumer)(shards[s].begin, shards[s].end, slices[s].per_output);
+      // Release eagerly: streamed memory stays bounded even when one shard
+      // produced a huge result.
+      slices[s] = Slice();
     }
-    tally(s);
-    (*consumer)(shards[s].begin, shards[s].end, slices[s].per_output);
-    // Release eagerly: streamed memory stays bounded even when one shard
-    // produced a huge result.
-    Slice().per_output.swap(slices[s].per_output);
   }
   return stats;
 }

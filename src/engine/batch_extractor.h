@@ -1,4 +1,5 @@
-// BatchExtractor: extracts a corpus on a fixed thread pool.
+// BatchExtractor: extracts a corpus on a fixed thread pool whose calling
+// thread extracts too.
 // Every entry point is one shard driver over three axes:
 //   - source: a Corpus, or a SegmentStore's index candidates;
 //   - step:   one DocumentExtractor (a compiled pattern plan or a whole
@@ -6,9 +7,9 @@
 //   - sink:   the caller's per-document result slots, or per-shard slices
 //             streamed to a consumer in corpus order.
 // The documents are cut into byte-balanced shards (≈ oversubscription ×
-// threads of them, so a worker that finishes early takes the next shard
-// from the pool's queue and skew evens out); each worker extracts its
-// shard's documents into slots fixed by document position. Output is
+// threads of them, so a thread that finishes early claims the next shard
+// and skew evens out); each thread extracts its shard's documents into
+// slots fixed by document position. Output is
 // therefore deterministic and independent of the thread count:
 // per_doc[i] is the sorted ⟦γ⟧_{d_i}.
 #ifndef SPANNERS_ENGINE_BATCH_EXTRACTOR_H_
@@ -32,7 +33,8 @@ namespace spanners {
 namespace engine {
 
 struct BatchOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Threads that extract, the caller included; 0 = hardware concurrency.
+  /// One thread extracts on the caller alone and starts no other.
   size_t num_threads = 0;
   /// Shards ≈ num_threads × oversubscription (skew insurance).
   size_t shard_oversubscription = 4;
@@ -90,7 +92,7 @@ class BatchExtractor {
   size_t num_threads() const { return pool_.num_threads(); }
 
   /// Token governing the NEXT Extract* call (and every one after, until
-  /// replaced): each worker polls it between documents and hands it to the
+  /// replaced): each thread polls it between documents and hands it to the
   /// evaluators so it aborts mid-document too. Not owned; null = never
   /// cancels. Set it before the call, from the same thread — the extractor
   /// is not reentrant anyway. After a trip the result is partial and
@@ -102,18 +104,18 @@ class BatchExtractor {
 
   /// Extracts every document of `corpus` under `extractor` — an
   /// ExtractionPlan or a query::CompiledQuery. Blocking; safe to call
-  /// repeatedly (the pool is reused across batches — each worker's
+  /// repeatedly (the pool is reused across batches — each thread's
   /// extraction arenas and mapping pool are Reset()/recycled between
   /// documents, never freed, so steady-state batches perform no evaluator
   /// heap allocation). The extractor and corpus must outlive the call
   /// (they are borrowed, not copied). Not safe to call concurrently on the
-  /// same BatchExtractor: the per-worker scratch is reused across calls.
+  /// same BatchExtractor: the per-thread scratch is reused across calls.
   BatchResult Extract(const DocumentExtractor& extractor,
                       const Corpus& corpus);
 
   /// Like Extract but refills a caller-owned result, recycling the
   /// previous batch's per-document vectors and pooled mapping storage
-  /// through the worker scratch. Under repeated batches (the serving
+  /// through the per-thread scratch. Under repeated batches (the serving
   /// loop), steady-state pattern plans allocate nothing at all — arenas,
   /// result slots and mapping entry vectors have all reached their
   /// high-water marks — and algebra queries keep only small per-document
@@ -136,14 +138,15 @@ class BatchExtractor {
       size_t doc_begin, size_t doc_end,
       std::vector<std::vector<Mapping>>& per_doc)>;
 
-  /// Streamed variant of Extract: `consumer` is invoked once per shard,
-  /// in corpus order, on the calling thread, while later shards are still
-  /// extracting — output never materializes the whole BatchResult, so peak
-  /// memory is bounded by the in-flight window (2 × threads shards)
-  /// instead of the corpus. The emitted stream
-  /// is byte-identical for every thread count: shard boundaries and
-  /// per-document mapping order do not depend on scheduling. Same
-  /// borrowing and non-reentrancy rules as Extract.
+  /// Streamed variant of Extract: the shards are extracted a window of
+  /// 2 × threads at a time, and after each window `consumer` is invoked
+  /// once per shard of it, in corpus order, on the calling thread. So
+  /// output never materializes the whole BatchResult — peak memory is
+  /// bounded by the window instead of the corpus — and consumption does
+  /// not overlap extraction. The emitted stream is byte-identical for
+  /// every thread count: shard boundaries and per-document mapping order
+  /// do not depend on scheduling. A throwing consumer leaves no task
+  /// running. Same borrowing and non-reentrancy rules as Extract.
   StreamStats ExtractStream(const DocumentExtractor& extractor,
                             const Corpus& corpus,
                             const ShardConsumer& consumer);
@@ -172,9 +175,10 @@ class BatchExtractor {
       std::vector<std::vector<std::vector<Mapping>>>& per_plan)>;
 
   /// Streamed ExtractMulti: shards arrive in corpus order on the calling
-  /// thread while later shards still extract; StreamStats aggregates over
-  /// every plan (matched_documents counts documents matched by at least
-  /// one plan). Byte-identical for every thread count.
+  /// thread, a window of 2 × threads of them after it is extracted, as in
+  /// ExtractStream. StreamStats aggregates over every plan
+  /// (matched_documents counts documents matched by at least one plan).
+  /// Byte-identical for every thread count.
   StreamStats ExtractMultiStream(const MultiQueryExtractor& fleet,
                                  const Corpus& corpus,
                                  const MultiShardConsumer& consumer);
@@ -209,9 +213,9 @@ class BatchExtractor {
  private:
   /// The one shard driver behind every Extract* call (batch_extractor.cc):
   /// `source` yields the documents and `step` extracts one into its output
-  /// slots. The sink is `results` (one per output, refilled in place;
-  /// submit every shard, wait once) or, when that is null, `consumer`
-  /// (per-shard slices drained in corpus order).
+  /// slots. The sink is `results` (one per output, refilled in place; one
+  /// ThreadPool::Run over every shard) or, when that is null, `consumer`
+  /// (per-shard slices, one Run per window, handed over in corpus order).
   template <typename Source, typename Step>
   StreamStats Drive(const Source& source, const Step& step,
                     BatchResult* results, const MultiShardConsumer* consumer);
@@ -223,9 +227,10 @@ class BatchExtractor {
   BatchOptions options_;
   ThreadPool pool_;
   CancelToken* cancel_ = nullptr;
-  // One scratch (arena + sort buffer) per pool worker, addressed via
-  // ThreadPool::CurrentWorkerIndex(); unique_ptr keeps addresses stable.
-  std::vector<std::unique_ptr<PlanScratch>> worker_scratch_;
+  // One scratch (arena + sort buffer) per pool thread, the caller's
+  // included, addressed by ThreadPool::Run's thread index; unique_ptr
+  // keeps addresses stable.
+  std::vector<std::unique_ptr<PlanScratch>> thread_scratch_;
 };
 
 }  // namespace engine

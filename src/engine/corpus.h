@@ -1,7 +1,7 @@
 // A corpus: an ordered collection of documents extracted as one batch.
 // Documents keep their insertion index, so engine results can be reported
 // in a deterministic, thread-count-independent order. Also corpus sharding:
-// byte-balanced contiguous ranges handed to worker threads.
+// byte-balanced contiguous ranges claimed by the extraction threads.
 #ifndef SPANNERS_ENGINE_CORPUS_H_
 #define SPANNERS_ENGINE_CORPUS_H_
 
@@ -67,7 +67,7 @@ struct Shard {
 
 struct ShardingOptions {
   /// Upper bound on the number of shards (≈ threads × oversubscription so
-  /// idle workers take the next queued shard when documents are skewed).
+  /// idle threads claim the next shard when documents are skewed).
   size_t max_shards = 1;
   /// Lower bound on documents per shard; avoids drowning tiny corpora in
   /// scheduling overhead.

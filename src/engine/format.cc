@@ -28,8 +28,11 @@ void AppendTsvEscaped(std::string_view text, std::string* out) {
   }
 }
 
-void AppendJsonEscaped(std::string_view text, std::string* out) {
-  for (char c : text) {
+}  // namespace
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  *out += '"';
+  for (char c : s) {
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -56,9 +59,8 @@ void AppendJsonEscaped(std::string_view text, std::string* out) {
         }
     }
   }
+  *out += '"';
 }
-
-}  // namespace
 
 bool ParseOutputFormat(const std::string& s, OutputFormat* out) {
   if (s == "tsv") {
@@ -102,18 +104,18 @@ std::string ToJsonRow(size_t doc_index, const Mapping& m, const VarSet& vars,
                       const Document& doc) {
   std::string out = "{\"doc\":" + std::to_string(doc_index);
   for (VarId x : vars) {
-    out += ",\"";
-    AppendJsonEscaped(Variable::Name(x), &out);
-    out += "\":";
+    out += ',';
+    AppendJsonString(&out, Variable::Name(x));
+    out += ':';
     std::optional<Span> s = m.Get(x);
     if (!s.has_value()) {
       out += "null";
       continue;
     }
     out += "{\"span\":[" + std::to_string(s->begin) + "," +
-           std::to_string(s->end) + "],\"text\":\"";
-    AppendJsonEscaped(doc.content(*s), &out);
-    out += "\"}";
+           std::to_string(s->end) + "],\"text\":";
+    AppendJsonString(&out, doc.content(*s));
+    out += '}';
   }
   out += "}";
   return out;

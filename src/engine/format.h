@@ -35,6 +35,13 @@ std::string TsvHeader(const VarSet& vars);
 std::string ToTsvRow(size_t doc_index, const Mapping& m, const VarSet& vars,
                      const Document& doc);
 
+/// Appends `s` as a quoted JSON string literal to *out: `"` and `\` are
+/// escaped, \n \t \r as themselves, every other byte below 0x20 as
+/// \u00XX; bytes from 0x20 up, non-ASCII included, pass through. The one
+/// JSON string writer of the engine, the reports and the server
+/// (server::AppendJsonString).
+void AppendJsonString(std::string* out, std::string_view s);
+
 /// One JSON object per line (JSONL):
 /// {"doc":0,"x":{"span":[1,4],"text":"abc"},"y":null}.
 std::string ToJsonRow(size_t doc_index, const Mapping& m, const VarSet& vars,

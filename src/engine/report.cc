@@ -2,40 +2,12 @@
 
 #include <cstdio>
 
+#include "engine/format.h"
+
 namespace spanners {
 namespace engine {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void AppendDfaText(std::string* out, const LazyDfaStats& ds) {
   *out += " (" + std::to_string(ds.num_states) + " dfa states, " +
@@ -49,8 +21,11 @@ void AppendDfaText(std::string* out, const LazyDfaStats& ds) {
 
 void AppendPlanJson(std::string* out, const PlanReport& p) {
   const PlanStats& s = p.stats;
-  *out += "{\"label\":\"" + JsonEscape(p.label) + "\",\"info\":\"" +
-          JsonEscape(p.info) + "\",\"stats\":{\"documents\":" +
+  *out += "{\"label\":";
+  AppendJsonString(out, p.label);
+  *out += ",\"info\":";
+  AppendJsonString(out, p.info);
+  *out += ",\"stats\":{\"documents\":" +
           std::to_string(s.documents) +
           ",\"mappings\":" + std::to_string(s.mappings) +
           ",\"ac_gate_skipped\":" + std::to_string(s.ac_gate_skipped) +
@@ -160,9 +135,14 @@ std::string EngineReport::ToJson() const {
     AppendPlanJson(&out, plans[i]);
   }
   out += "]";
-  if (!fleet.empty()) out += ",\"fleet\":\"" + JsonEscape(fleet) + "\"";
-  if (!query_plan.empty())
-    out += ",\"query_plan\":\"" + JsonEscape(query_plan) + "\"";
+  if (!fleet.empty()) {
+    out += ",\"fleet\":";
+    AppendJsonString(&out, fleet);
+  }
+  if (!query_plan.empty()) {
+    out += ",\"query_plan\":";
+    AppendJsonString(&out, query_plan);
+  }
   if (have_cache)
     out += ",\"plan_cache\":{\"size\":" + std::to_string(cache.size) +
            ",\"hits\":" + std::to_string(cache.hits) +
@@ -177,8 +157,9 @@ std::string EngineReport::ToJson() const {
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%.6f",
                   index_stats.CandidateRatio());
-    out += ",\"index\":{\"info\":\"" + JsonEscape(index_info) +
-           "\",\"corpus_docs\":" + std::to_string(index_stats.corpus_docs) +
+    out += ",\"index\":{\"info\":";
+    AppendJsonString(&out, index_info);
+    out += ",\"corpus_docs\":" + std::to_string(index_stats.corpus_docs) +
            ",\"candidate_docs\":" +
            std::to_string(index_stats.candidate_docs) +
            ",\"candidate_ratio\":" + ratio +
@@ -216,8 +197,10 @@ std::string EngineReport::ToJson() const {
            ",\"queue_capacity\":" + std::to_string(s.queue_capacity) +
            ",\"draining\":" + (s.draining ? "true" : "false") +
            ",\"degraded\":" + (s.degraded ? "true" : "false");
-    if (s.degraded)
-      out += ",\"degraded_reason\":\"" + JsonEscape(s.degraded_reason) + "\"";
+    if (s.degraded) {
+      out += ",\"degraded_reason\":";
+      AppendJsonString(&out, s.degraded_reason);
+    }
     out += "}";
   }
   out += ",\"wall_ns\":" + std::to_string(wall_ns);

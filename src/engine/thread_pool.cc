@@ -1,17 +1,10 @@
 #include "engine/thread_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace spanners {
 namespace engine {
-
-namespace {
-
-thread_local size_t tls_worker_index = SIZE_MAX;
-
-}  // namespace
-
-size_t ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
 
 size_t ThreadPool::DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -20,9 +13,9 @@ size_t ThreadPool::DefaultThreads() {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = DefaultThreads();
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i)
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+  workers_.reserve(num_threads - 1);
+  for (size_t i = 1; i < num_threads; ++i)
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -30,40 +23,56 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
+  wake_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++pending_;
+void ThreadPool::RunJob(const Job& job) {
+  if (job.n == 0) return;
+  std::lock_guard<std::mutex> run_lock(run_mu_);
+  next_.store(0);
+  const size_t helpers = std::min(job.n, num_threads()) - 1;
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = job;
+      open_ = helpers;
+    }
+    for (size_t i = 0; i < helpers; ++i) wake_cv_.notify_one();
   }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::WaitIdle() {
+  Claim(job, 0);
+  // Joined workers call into the caller's frame: once the caller runs out
+  // of tasks, close the job to workers that have not arrived yet and wait
+  // only for those already inside it.
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
+  open_ = 0;
+  done_cv_.wait(lock, [this] { return running_ == 0; });
+  if (error_ != nullptr)
+    std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
-  tls_worker_index = self;
+void ThreadPool::Claim(const Job& job, size_t thread) {
+  try {
+    for (size_t task; (task = next_.fetch_add(1)) < job.n;)
+      job.call(job.fn, task, thread);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (error_ == nullptr) error_ = std::current_exception();
+  }
+}
+
+void ThreadPool::WorkerLoop(size_t thread) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (!queue_.empty()) {
-      std::function<void()> task = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      task();
-      task = nullptr;  // destroy captures outside the lock
-      lock.lock();
-      if (--pending_ == 0) idle_cv_.notify_all();
-      continue;
-    }
+    wake_cv_.wait(lock, [this] { return shutdown_ || open_ > 0; });
     if (shutdown_) return;
-    work_cv_.wait(lock);
+    --open_;
+    ++running_;
+    const Job job = job_;
+    lock.unlock();
+    Claim(job, thread);
+    lock.lock();
+    if (--running_ == 0) done_cv_.notify_one();
   }
 }
 

@@ -359,28 +359,6 @@ Result<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
 }
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
 void WriteJson(const JsonValue& v, std::string* out) {
   switch (v.type()) {
     case JsonValue::Type::kNull:

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/format.h"
 
 namespace spanners {
 namespace server {
@@ -80,8 +81,9 @@ class JsonValue {
 /// malformed input with a byte-offset diagnostic.
 Result<JsonValue> ParseJson(std::string_view text);
 
-/// Appends `s` as a quoted, escaped JSON string literal to *out.
-void AppendJsonString(std::string* out, std::string_view s);
+/// Appends `s` as a quoted, escaped JSON string literal to *out (the
+/// engine's one JSON string writer).
+using engine::AppendJsonString;
 
 /// Serializes `v` back to compact JSON (integral numbers print exactly;
 /// other doubles via shortest round-trippable %g). Parse→Write is not

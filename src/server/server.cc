@@ -963,9 +963,9 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
       last_indexed_stats_ = index_stats;
     }
   } else {
-    // In-memory corpus: the bounded-window streaming path — shards arrive
-    // in corpus order while later shards extract, and the EmitRowsChunk
-    // watermark block propagates backpressure into shard production.
+    // In-memory corpus: the bounded-window streaming path — each window's
+    // shards arrive in corpus order once it is extracted, and the
+    // EmitRowsChunk watermark block holds back the next window.
     const engine::BatchExtractor::StreamStats stats =
         batch_.ExtractMultiStream(
             fleet, corpus_,

@@ -4,14 +4,14 @@
 // trigram posting index — serving concurrent clients over a local
 // AF_UNIX stream socket with the JSONL protocol of server/protocol.h.
 //
-// Architecture (two threads plus the extraction pool):
+// Architecture (two threads plus the extraction pool's workers):
 //
 //   clients ──► poll() I/O thread ──► bounded admission queue ──► executor
 //                 │   (accept, read, parse, control ops,           thread
 //                 │    partial-write buffering)                      │
 //                 │                                                  ▼
 //                 ◄── per-connection output buffers ◄── BatchExtractor
-//                      (watermark backpressure)          (ThreadPool)
+//                      (watermark backpressure)      (executor + ThreadPool)
 //
 // The I/O thread owns every socket and all session state (registered
 // plan handles → PlanCache entries); it answers control-plane requests
@@ -26,7 +26,9 @@
 // The executor thread drains the queue in FIFO order and runs each item
 // on one shared BatchExtractor (requests serialize at the batch level —
 // the extractor is non-reentrant by contract — while each request
-// parallelizes internally across the pool). Response rows stream back in
+// parallelizes internally across the pool). The executor is itself one of
+// the extraction threads: `-j 1` starts no pool thread, and a
+// one-document extract wakes none at any width. Response rows stream back in
 // bounded chunks; a connection whose output buffer exceeds the high
 // watermark blocks the executor until the I/O thread drains it, so a
 // slow reader throttles its own extraction instead of ballooning server
@@ -83,7 +85,8 @@ struct ServerOptions {
   size_t max_inflight_per_client = 8;
   /// Backoff hint attached to every Unavailable rejection.
   uint32_t retry_after_ms = 50;
-  /// Extraction pool width (0 = hardware concurrency).
+  /// Threads that extract, the executor included (0 = hardware
+  /// concurrency); 1 starts no pool thread.
   size_t num_threads = 0;
   size_t plan_cache_capacity = 128;
   /// One request line may not exceed this (oversized ⇒ error + close).

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -52,28 +53,31 @@ uint32_t TrigramAt(std::string_view text, size_t i) {
          uint32_t(uint8_t(text[i + 2]));
 }
 
-// The distinct (trigram, docid) pairs of one docid range, sorted by
-// (trigram, docid) — packed as trigram<<32 | docid so a plain u64 sort
-// gives the posting order.
-std::vector<uint64_t> PairsOfRange(const SegmentStore& store, size_t begin,
-                                   size_t end) {
-  std::vector<uint64_t> pairs;
-  std::vector<uint32_t> doc_trigrams;
+// Writes the distinct (trigram, docid) pairs of docids [begin, end) to
+// `out`, sorted by (trigram, docid) — packed as trigram<<32 | docid so a
+// plain u64 sort gives the posting order — and returns how many it wrote.
+// `out` must hold TrigramBound of the range.
+size_t PairsOfRange(const SegmentStore& store, size_t begin, size_t end,
+                    uint64_t* out) {
+  uint64_t* p = out;
   for (size_t d = begin; d < end; ++d) {
     const std::string_view text = store.doc_view(d);
-    if (text.size() < NgramIndex::kN) continue;
-    doc_trigrams.clear();
     for (size_t i = 0; i + NgramIndex::kN <= text.size(); ++i)
-      doc_trigrams.push_back(TrigramAt(text, i));
-    std::sort(doc_trigrams.begin(), doc_trigrams.end());
-    doc_trigrams.erase(
-        std::unique(doc_trigrams.begin(), doc_trigrams.end()),
-        doc_trigrams.end());
-    for (uint32_t t : doc_trigrams)
-      pairs.push_back(uint64_t(t) << 32 | uint64_t(d));
+      *p++ = uint64_t(TrigramAt(text, i)) << 32 | uint64_t(d);
   }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
+  std::sort(out, p);
+  return std::unique(out, p) - out;
+}
+
+// Trigram positions in docids [begin, end): a bound on their distinct
+// (trigram, docid) pairs.
+size_t TrigramBound(const SegmentStore& store, size_t begin, size_t end) {
+  size_t bound = 0;
+  for (size_t d = begin; d < end; ++d) {
+    const size_t len = store.doc_bytes(d);
+    if (len >= NgramIndex::kN) bound += len - (NgramIndex::kN - 1);
+  }
+  return bound;
 }
 
 // Sorted-vector set ops used by the candidate computation.
@@ -102,34 +106,36 @@ NgramIndex NgramIndex::Build(const SegmentStore& store,
   const auto build_start = std::chrono::steady_clock::now();
   const size_t num_docs = store.num_docs();
 
-  // Per-shard trigram extraction (each shard's pairs come out sorted),
-  // then one global sort over the concatenation — simpler than a k-way
-  // merge and dominated by the extraction pass anyway.
-  std::vector<std::vector<uint64_t>> shard_pairs;
-  if (pool != nullptr && num_docs > 1) {
-    const size_t shards = std::min<size_t>(pool->num_threads() * 4, num_docs);
-    const size_t chunk = (num_docs + shards - 1) / shards;
-    shard_pairs.resize((num_docs + chunk - 1) / chunk);
-    for (size_t s = 0; s < shard_pairs.size(); ++s) {
-      const size_t begin = s * chunk;
-      const size_t end = std::min(begin + chunk, num_docs);
-      pool->Submit([&store, &shard_pairs, s, begin, end] {
-        shard_pairs[s] = PairsOfRange(store, begin, end);
-      });
-    }
-    pool->WaitIdle();
+  // One buffer holds every pair, sized by the trigram bound: each shard
+  // fills and sorts its own slice of it (on `pool`, when given), then the
+  // slices are compacted to the front and, when there are several,
+  // sorted together.
+  const size_t max_shards = pool != nullptr ? pool->num_threads() * 4 : 1;
+  const size_t chunk =
+      std::max<size_t>(1, (num_docs + max_shards - 1) / max_shards);
+  const size_t num_shards = (num_docs + chunk - 1) / chunk;
+  auto end_of = [&](size_t s) { return std::min(s * chunk + chunk, num_docs); };
+  std::vector<size_t> slice(num_shards + 1, 0);  // shard s fills from slice[s]
+  for (size_t s = 0; s < num_shards; ++s)
+    slice[s + 1] = slice[s] + TrigramBound(store, s * chunk, end_of(s));
+  std::unique_ptr<uint64_t[]> pairs(new uint64_t[slice[num_shards]]);
+  std::vector<size_t> filled(num_shards, 0);
+  auto fill = [&](size_t s, size_t) {
+    filled[s] =
+        PairsOfRange(store, s * chunk, end_of(s), pairs.get() + slice[s]);
+  };
+  if (pool != nullptr) {
+    pool->Run(num_shards, fill);
   } else {
-    shard_pairs.push_back(PairsOfRange(store, 0, num_docs));
+    for (size_t s = 0; s < num_shards; ++s) fill(s, 0);
   }
   size_t total = 0;
-  for (const auto& v : shard_pairs) total += v.size();
-  std::vector<uint64_t> pairs;
-  pairs.reserve(total);
-  for (auto& v : shard_pairs) {
-    pairs.insert(pairs.end(), v.begin(), v.end());
-    std::vector<uint64_t>().swap(v);
+  for (size_t s = 0; s < num_shards; ++s) {
+    std::memmove(pairs.get() + total, pairs.get() + slice[s],
+                 filled[s] * sizeof(uint64_t));
+    total += filled[s];
   }
-  std::sort(pairs.begin(), pairs.end());
+  if (num_shards > 1) std::sort(pairs.get(), pairs.get() + total);
 
   // Encode: one term entry + one delta-varint run per distinct trigram.
   NgramIndex index;
@@ -137,12 +143,12 @@ NgramIndex NgramIndex::Build(const SegmentStore& store,
   std::string& terms = index.owned_terms_;
   std::string& postings = index.owned_postings_;
   size_t i = 0;
-  while (i < pairs.size()) {
+  while (i < total) {
     const uint32_t trigram = uint32_t(pairs[i] >> 32);
     const uint64_t offset = postings.size();
     uint32_t df = 0;
     uint32_t prev = 0;
-    for (; i < pairs.size() && uint32_t(pairs[i] >> 32) == trigram; ++i) {
+    for (; i < total && uint32_t(pairs[i] >> 32) == trigram; ++i) {
       const uint32_t doc = uint32_t(pairs[i]);
       PutVarint(&postings, df == 0 ? doc : doc - prev);
       prev = doc;

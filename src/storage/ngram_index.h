@@ -79,8 +79,9 @@ class NgramIndex {
   static constexpr size_t kN = 3;
 
   /// Builds the index over every document of `store`. Per-shard trigram
-  /// extraction runs on `pool` when given (the CPU-bound part); the merge
-  /// and encode are sequential.
+  /// extraction and sorting run on `pool` when given (one shard without
+  /// it); the merge and encode are sequential. The index is the same for
+  /// every pool.
   static NgramIndex Build(const SegmentStore& store,
                           engine::ThreadPool* pool = nullptr);
 

@@ -153,7 +153,8 @@ Status SegmentStore::Write(const engine::Corpus& corpus,
   }
   file.resize(padded, '\0');
 
-  // Per-page CRCs, computed in parallel on the engine pool when given.
+  // Per-page CRCs, computed in parallel on the engine pool when given:
+  // one chunk of pages per pool thread.
   std::vector<uint32_t> page_crcs(num_pages, 0);
   auto crc_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
@@ -162,15 +163,11 @@ Status SegmentStore::Write(const engine::Corpus& corpus,
     }
   };
   if (options.pool != nullptr && num_pages > 1) {
-    const size_t workers = options.pool->num_threads();
-    const size_t chunk = (num_pages + workers - 1) / workers;
-    for (size_t begin = 0; begin < num_pages; begin += chunk) {
-      const size_t end = std::min<size_t>(begin + chunk, num_pages);
-      options.pool->Submit([&crc_range, begin, end] {
-        crc_range(begin, end);
-      });
-    }
-    options.pool->WaitIdle();
+    const size_t threads = options.pool->num_threads();
+    const size_t chunk = (num_pages + threads - 1) / threads;
+    options.pool->Run((num_pages + chunk - 1) / chunk, [&](size_t c, size_t) {
+      crc_range(c * chunk, std::min<size_t>(c * chunk + chunk, num_pages));
+    });
   } else {
     crc_range(0, num_pages);
   }

@@ -7,7 +7,9 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -115,40 +117,106 @@ TEST(ShardingTest, EmptyCorpusHasNoShards) {
 
 // ---- thread pool -------------------------------------------------------
 
+// Every task index runs exactly once, on a thread index below
+// num_threads() that no other task holds at the same time, for every pool
+// size and batch size.
 TEST(ThreadPoolTest, RunsEveryTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i)
-    pool.Submit([&count] { count.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 1000);
+  for (size_t threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), threads);
+    for (size_t n : {0, 1, 3, 1000}) {
+      std::vector<std::atomic<int>> runs(n);
+      std::vector<std::atomic<bool>> busy(threads);
+      std::atomic<int> bad_thread{0};
+      pool.Run(n, [&](size_t task, size_t thread) {
+        if (thread >= threads || busy[thread].exchange(true)) {
+          bad_thread.fetch_add(1);
+          return;
+        }
+        runs[task].fetch_add(1);
+        busy[thread].store(false);
+      });
+      EXPECT_EQ(bad_thread.load(), 0) << threads << " threads, n " << n;
+      for (size_t t = 0; t < n; ++t)
+        ASSERT_EQ(runs[t].load(), 1) << threads << " threads, task " << t;
+    }
+  }
 }
 
-TEST(ThreadPoolTest, WaitIdleOnIdlePoolReturns) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not deadlock
-}
-
-TEST(ThreadPoolTest, TasksMaySubmitTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i)
-    pool.Submit([&] {
-      pool.Submit([&count] { count.fetch_add(1); });
-    });
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPoolTest, OneWorkerRunsTasksInSubmissionOrder) {
+// A one-thread pool starts no thread: Run executes its tasks in index
+// order on the calling thread.
+TEST(ThreadPoolTest, OneThreadRunsTasksInOrderOnTheCaller) {
   ThreadPool pool(1);
-  std::vector<int> order;  // written by the one worker only
-  for (int i = 0; i < 100; ++i)
-    pool.Submit([&order, i] { order.push_back(i); });
-  pool.WaitIdle();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool on_caller = true;
+  pool.Run(100, [&](size_t task, size_t thread) {
+    order.push_back(task);
+    on_caller = on_caller && thread == 0 &&
+                std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(on_caller);
   ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+// A one-task Run wakes no worker, however many the pool has.
+TEST(ThreadPoolTest, OneTaskRunsOnTheCaller) {
+  ThreadPool pool(8);
+  for (int i = 0; i < 100; ++i) {
+    std::thread::id ran;
+    size_t ran_thread = 1;
+    pool.Run(1, [&](size_t, size_t thread) {
+      ran = std::this_thread::get_id();
+      ran_thread = thread;
+    });
+    EXPECT_EQ(ran, std::this_thread::get_id());
+    EXPECT_EQ(ran_thread, 0u);
+  }
+}
+
+// A task's exception leaves Run once every thread has stopped, and the
+// pool runs the next call in full.
+TEST(ThreadPoolTest, TaskExceptionLeavesRun) {
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_THROW(pool.Run(100,
+                          [](size_t task, size_t) {
+                            if (task == 37) throw std::runtime_error("task");
+                          }),
+                 std::runtime_error);
+    std::atomic<size_t> count{0};
+    pool.Run(100, [&](size_t, size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 100u) << threads << " threads";
+  }
+}
+
+// Run called from several threads at once serializes: no task of one call
+// overlaps a task of another. The last task of a call to finish releases
+// `owner`; a task that finds another call's mark counts an overlap.
+TEST(ThreadPoolTest, ConcurrentRunsSerialize) {
+  ThreadPool pool(4);
+  constexpr size_t kTasks = 200;
+  std::atomic<int> owner{-1};
+  std::atomic<int> overlaps{0};
+  std::atomic<size_t> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c)
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        std::atomic<size_t> done{0};
+        pool.Run(kTasks, [&](size_t, size_t) {
+          int mark = -1;
+          if (!owner.compare_exchange_strong(mark, c) && mark != c)
+            overlaps.fetch_add(1);
+          total.fetch_add(1);
+          if (done.fetch_add(1) + 1 == kTasks) owner.store(-1);
+        });
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(total.load(), 4 * 20 * kTasks);
 }
 
 // ---- ExtractionPlan ----------------------------------------------------
@@ -463,6 +531,21 @@ TEST(FormatTest, JsonRowPinsWireFormat) {
   EXPECT_EQ(ToJsonRow(3, m, vars, doc),
             "{\"doc\":3,\"x\":{\"span\":[5,9],\"text\":\"\\\"hi\\\"\"},"
             "\"y\":null}");
+
+  // Every string the engine, its reports and the server write goes
+  // through AppendJsonString: \n \t \r keep their short escapes, every
+  // other byte below 0x20 is \u00XX, and bytes from 0x20 up (non-ASCII
+  // too) pass through.
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  std::string out;
+  AppendJsonString(&out, controls + "\"\\ \xc3\xa9\x7f");
+  EXPECT_EQ(out,
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            "\\\"\\\\ \xc3\xa9\x7f\"");
 }
 
 // ---- prefilter + lazy-DFA gate ------------------------------------------
@@ -661,9 +744,9 @@ size_t Settled(const std::function<size_t()>& count) {
   }
 }
 
-// A consumer that throws on its first shard: the exception reaches the
-// caller only after every in-flight shard finished (their tasks reference
-// the unwinding frame), and the same extractor then streams correctly.
+// A consumer that throws on its first shard: no shard task is running
+// when it does (they reference the unwinding frame), and the same
+// extractor then streams correctly.
 TEST(BatchExtractorTest, StreamConsumerThrowIsSafe) {
   const Corpus corpus = LogCorpus(8);  // heavy enough to keep shards in flight
   const ExtractionPlan plan = LogPlan();
@@ -716,7 +799,7 @@ TEST(BatchExtractorTest, MultiStreamConsumerThrowIsSafe) {
 }
 
 // With default options at 2 threads the corpus cuts into 8 shards, but
-// at most 2 × threads of them are submitted ahead of the consumer: while
+// at most 2 × threads of them are extracted ahead of the consumer: while
 // the consumer holds the first shard, the rest of the corpus waits.
 TEST(BatchExtractorTest, StreamWindowBoundsExtraction) {
   const Corpus corpus = LogCorpus(1);
@@ -759,6 +842,67 @@ TEST(BatchExtractorTest, MultiStreamWindowBoundsExtraction) {
   ASSERT_GE(calls, 8u);
   EXPECT_LT(extracted_at_first, corpus.size());
   EXPECT_EQ(fleet.plan_stats(0).documents, corpus.size());
+}
+
+// ---- the caller extracts ------------------------------------------------
+
+// Records the threads that extracted its documents.
+class ThreadRecordingExtractor : public DocumentExtractor {
+ public:
+  explicit ThreadRecordingExtractor(const ExtractionPlan& plan)
+      : plan_(plan) {}
+  const VarSet& vars() const override { return plan_.vars(); }
+  void ExtractSortedInto(const Document& doc, PlanScratch* scratch,
+                         std::vector<Mapping>* out) const override {
+    plan_.ExtractSortedInto(doc, scratch, out);
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  const ExtractionPlan& plan_;
+  mutable std::mutex mu_;
+  mutable std::set<std::thread::id> threads_;
+};
+
+// The calling thread is an extraction thread: a one-thread extractor
+// extracts on it alone, batch and stream, and a one-document batch
+// extracts on it at any thread count.
+TEST(BatchExtractorTest, CallerExtracts) {
+  const Corpus corpus = LogCorpus(1);
+  const ExtractionPlan plan = LogPlan();
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+
+  BatchOptions one;
+  one.num_threads = 1;
+  BatchExtractor single(one);
+  const ThreadRecordingExtractor batch(plan);
+  EXPECT_EQ(single.Extract(batch, corpus).per_doc,
+            single.Extract(plan, corpus).per_doc);
+  EXPECT_EQ(batch.threads(), caller);
+  const ThreadRecordingExtractor stream(plan);
+  size_t streamed = 0;
+  single.ExtractStream(
+      stream, corpus,
+      [&](size_t begin, size_t end, std::vector<std::vector<Mapping>>&) {
+        streamed += end - begin;
+      });
+  EXPECT_EQ(streamed, corpus.size());
+  EXPECT_EQ(stream.threads(), caller);
+
+  BatchOptions eight;
+  eight.num_threads = 8;
+  BatchExtractor wide(eight);
+  const Corpus first(std::vector<Document>{corpus[0]});
+  for (int i = 0; i < 20; ++i) {
+    const ThreadRecordingExtractor doc(plan);
+    wide.Extract(doc, first);
+    EXPECT_EQ(doc.threads(), caller);
+  }
 }
 
 TEST(FormatTest, ParseOutputFormat) {

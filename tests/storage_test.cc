@@ -83,31 +83,43 @@ TEST(SegmentStoreTest, EmptyCorpusRoundTrips) {
   std::remove(path.c_str());
 }
 
+// Byte-identical files: a pool parallelizes the segment's page checksums
+// and the trigram index's per-shard extraction (4 shards per thread),
+// nothing else.
 TEST(SegmentStoreTest, ParallelWriteMatchesInlineWrite) {
   workload::CorpusOptions o;
   o.documents = 300;
   Corpus corpus(workload::ServerLogCorpus(o));
+  auto read = [](const std::string& path) {
+    Result<MappedFile> f = MappedFile::Open(path);
+    EXPECT_TRUE(f.ok()) << path;
+    return f.ok() ? std::string(f.value().view()) : std::string();
+  };
   const std::string inline_path = TempPath("inline");
-  const std::string pooled_path = TempPath("pooled");
   ASSERT_TRUE(SegmentStore::Write(corpus, inline_path).ok());
-  {
-    engine::ThreadPool pool(4);
+  const std::string want_segment = read(inline_path);
+  Result<SegmentStore> store = SegmentStore::Open(inline_path);
+  ASSERT_TRUE(store.ok());
+  const std::string idx_path = TempPath("index");
+  auto index_bytes = [&](engine::ThreadPool* pool) {
+    EXPECT_TRUE(NgramIndex::Build(store.value(), pool).Save(idx_path).ok());
+    return read(idx_path);
+  };
+  const std::string want_index = index_bytes(nullptr);
+  EXPECT_FALSE(want_index.empty());
+
+  const std::string pooled_path = TempPath("pooled");
+  for (size_t threads : {1, 2, 4}) {
+    engine::ThreadPool pool(threads);
     SegmentWriteOptions wo;
     wo.pool = &pool;
     ASSERT_TRUE(SegmentStore::Write(corpus, pooled_path, wo).ok());
+    EXPECT_TRUE(read(pooled_path) == want_segment) << threads << " threads";
+    EXPECT_TRUE(index_bytes(&pool) == want_index) << threads << " threads";
   }
-  // Byte-identical files: the pool parallelizes checksumming, nothing else.
-  std::string a, b;
-  {
-    Result<MappedFile> fa = MappedFile::Open(inline_path);
-    Result<MappedFile> fb = MappedFile::Open(pooled_path);
-    ASSERT_TRUE(fa.ok() && fb.ok());
-    a = std::string(fa.value().view());
-    b = std::string(fb.value().view());
-  }
-  EXPECT_EQ(a, b);
   std::remove(inline_path.c_str());
   std::remove(pooled_path.c_str());
+  std::remove(idx_path.c_str());
 }
 
 TEST(SegmentStoreTest, OpenRejectsMissingFile) {

@@ -36,7 +36,9 @@
 //   --query-file FILE        read the query from FILE
 //   -F, --format tsv|json    output format (default tsv; tsv prints a
 //                            header row)
-//   -j, --threads N          worker threads (default: hardware concurrency)
+//   -j, --threads N          threads that extract, the caller included
+//                            (default: hardware concurrency; 1 starts no
+//                            other thread)
 //   -0, --null               documents are NUL-delimited, not newline
 //   --no-header              suppress the TSV header row
 //   --stats[=json]           print plan/batch statistics to stderr (per
@@ -705,8 +707,8 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Output streams shard by shard in deterministic corpus order: rows for
-  // shard k print while shards k+1… are still extracting, and the full
+  // Output streams shard by shard in deterministic corpus order: each
+  // window of 2 × threads shards prints once it is extracted, and the full
   // result set is never materialized at once. Every write is checked: once
   // the downstream pipe closes, formatting keeps running (results and
   // stats stay correct) but nothing further is written.

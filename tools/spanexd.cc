@@ -36,8 +36,9 @@
 //                            synthesize the corpus with the workload
 //                            generators (land-registry, server-log,
 //                            needle, fleet) instead of reading files
-//   -j, --threads N          extraction pool width (default: hardware
-//                            concurrency)
+//   -j, --threads N          threads that extract, the caller (the
+//                            executor thread) included (default: hardware
+//                            concurrency; 1 starts no pool thread)
 //   -0, --null               documents are NUL-delimited, not newline
 //   --queue N                admission queue capacity (default 64)
 //   --inflight N             per-client in-flight cap (default 8)
