@@ -407,7 +407,7 @@ BENCHMARK(BM_IndexedExtract_Needle)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Index construction throughput: trigram extraction + merge + varint
+// Index construction throughput: the two counting passes + varint
 // encode over the needle segment, reported as corpus MB/s. Tracks the
 // "index build MB/s" obs counter pair (index.build_bytes /
 // index.build_ns) from the other side.

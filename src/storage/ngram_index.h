@@ -30,12 +30,12 @@
 //   │ num_terms, body_crc, footer_crc           │
 //   └───────────────────────────────────────────┘
 //
-// Open() verifies the footer and the whole-body CRC before returning
-// (Status::Corruption otherwise); lookups then decode postings straight
-// out of the mapping. Document-frequency statistics (doc_freq per term)
-// come for free and drive intersection order (rarest trigram first) —
-// they are also the cardinality-estimate input the cost-based-planning
-// direction wants.
+// Open() verifies the footer, the whole-body CRC and the structure that
+// lookups trust before returning (Status::Corruption otherwise); lookups
+// then decode postings straight out of the mapping. Document-frequency
+// statistics (doc_freq per term) come for free and drive intersection
+// order (rarest trigram first) — they are also the cardinality-estimate
+// input the cost-based-planning direction wants.
 #ifndef SPANNERS_STORAGE_NGRAM_INDEX_H_
 #define SPANNERS_STORAGE_NGRAM_INDEX_H_
 
@@ -48,7 +48,6 @@
 
 #include "common/status.h"
 #include "engine/prefilter.h"
-#include "engine/thread_pool.h"
 #include "storage/segment.h"
 
 namespace spanners {
@@ -78,12 +77,21 @@ class NgramIndex {
   /// kMinLiteralLen, so every clause the prefilter keeps is indexable.
   static constexpr size_t kN = 3;
 
-  /// Builds the index over every document of `store`. Per-shard trigram
-  /// extraction and sorting run on `pool` when given (one shard without
-  /// it); the merge and encode are sequential. The index is the same for
-  /// every pool.
-  static NgramIndex Build(const SegmentStore& store,
-                          engine::ThreadPool* pool = nullptr);
+  /// A lookup stops intersecting once its running candidate set holds at
+  /// most this many documents. A surplus candidate costs one
+  /// materialization plus the gate cascade (~1 µs); a decoded posting
+  /// costs ~4 ns, so once the set is this small, decoding further lists
+  /// rarely drops enough candidates to pay for itself. The result stays a
+  /// sound superset: every candidate still runs the full gate cascade.
+  static constexpr size_t kFewCandidates = 16;
+
+  /// Builds the index over every document of `store`, by counting: one
+  /// pass counts each trigram's documents in a hash table, the distinct
+  /// trigrams are sorted, and a second pass scatters document ids, in
+  /// document order, into one exactly-sized array. It holds ~4 B per
+  /// distinct (trigram, document) pair plus the term table, besides the
+  /// encoded result.
+  static NgramIndex Build(const SegmentStore& store);
 
   /// Serializes to `path` (atomic rename, like SegmentStore::Write).
   Status Save(const std::string& path) const;
@@ -91,7 +99,11 @@ class NgramIndex {
   /// Maps and validates an index file; Status::Corruption on any checksum
   /// or structural mismatch, and InvalidArgument when `expect_num_docs`
   /// (from the segment it sits beside) disagrees — an index for a
-  /// different corpus must not silently gate this one.
+  /// different corpus must not silently gate this one. The structural
+  /// checks decode every posting list once: trigrams strictly increasing
+  /// and below 2^24, 1 <= doc_freq <= num_docs, lists back to back from
+  /// offset 0 to the end of the postings, each decoding to exactly
+  /// doc_freq strictly increasing ids below num_docs.
   static Result<NgramIndex> Open(const std::string& path,
                                  size_t expect_num_docs);
 
@@ -100,15 +112,17 @@ class NgramIndex {
   /// Serialized size (term table + postings, excluding the footer).
   uint64_t body_bytes() const { return term_bytes_ + postings_bytes_; }
 
-  /// Documents that may contain `literal` (all its trigrams present),
-  /// intersected rarest-trigram-first with early exit. Precondition:
-  /// literal.size() >= kN. Empty result = provably no document matches.
+  /// Documents that may contain `literal`: its trigrams' lists intersected
+  /// rarest first, stopping once at most kFewCandidates remain.
+  /// Precondition: literal.size() >= kN. Empty result = provably no
+  /// document matches.
   std::vector<uint32_t> LiteralCandidates(std::string_view literal,
                                           LookupStats* stats) const;
 
   /// Candidate documents for a whole prefilter requirement: union over a
-  /// clause's literals, intersection across clauses. Clauses with any
-  /// literal shorter than kN are skipped (they cannot narrow the set);
+  /// clause's literals, intersection across clauses, skipping the
+  /// remaining clauses once at most kFewCandidates remain. Clauses with
+  /// any literal shorter than kN are skipped (they cannot narrow the set);
   /// when no clause survives, the result has all = true.
   CandidateSet Candidates(const engine::Prefilter& prefilter,
                           LookupStats* stats) const;

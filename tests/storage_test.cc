@@ -1,16 +1,21 @@
 // Tests for the persistent corpus storage layer: segment round-trips
 // (including empty documents, binary bytes and documents larger than a
 // page), the trigram posting index against naive substring-scan ground
-// truth, result lifetime after the store closes, and a seeded fuzz sweep
-// asserting that EVERY truncation or bit flip of a segment or index file
-// is rejected with a clean Status — never accepted, never UB.
+// truth and its saved bytes against a reference encoder, result lifetime
+// after the store closes, structural faults behind valid checksums, and a
+// seeded fuzz sweep asserting that EVERY truncation or bit flip of a
+// segment or index file is rejected with a clean Status — never
+// accepted, never UB.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +23,8 @@
 #include "engine/plan.h"
 #include "engine/prefilter.h"
 #include "engine/thread_pool.h"
+#include "rgx/parser.h"
+#include "storage/crc32c.h"
 #include "storage/ngram_index.h"
 #include "storage/segment.h"
 #include "workload/generators.h"
@@ -31,6 +38,21 @@ using engine::Corpus;
 std::string TempPath(const std::string& tag) {
   return testing::TempDir() + "spanners_storage_test_" + tag + "_" +
          std::to_string(::getpid()) + ".seg";
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  Result<MappedFile> f = MappedFile::Open(path);
+  EXPECT_TRUE(f.ok());
+  return std::string(f.value().view());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  ASSERT_EQ(std::fclose(f), 0);
 }
 
 // A corpus exercising the layout's edge cases: empty documents, interior
@@ -83,8 +105,7 @@ TEST(SegmentStoreTest, EmptyCorpusRoundTrips) {
   std::remove(path.c_str());
 }
 
-// Byte-identical files: a pool parallelizes the segment's page checksums
-// and the trigram index's per-shard extraction (4 shards per thread),
+// Byte-identical files: a pool parallelizes the segment's page checksums,
 // nothing else.
 TEST(SegmentStoreTest, ParallelWriteMatchesInlineWrite) {
   workload::CorpusOptions o;
@@ -98,15 +119,6 @@ TEST(SegmentStoreTest, ParallelWriteMatchesInlineWrite) {
   const std::string inline_path = TempPath("inline");
   ASSERT_TRUE(SegmentStore::Write(corpus, inline_path).ok());
   const std::string want_segment = read(inline_path);
-  Result<SegmentStore> store = SegmentStore::Open(inline_path);
-  ASSERT_TRUE(store.ok());
-  const std::string idx_path = TempPath("index");
-  auto index_bytes = [&](engine::ThreadPool* pool) {
-    EXPECT_TRUE(NgramIndex::Build(store.value(), pool).Save(idx_path).ok());
-    return read(idx_path);
-  };
-  const std::string want_index = index_bytes(nullptr);
-  EXPECT_FALSE(want_index.empty());
 
   const std::string pooled_path = TempPath("pooled");
   for (size_t threads : {1, 2, 4}) {
@@ -115,11 +127,9 @@ TEST(SegmentStoreTest, ParallelWriteMatchesInlineWrite) {
     wo.pool = &pool;
     ASSERT_TRUE(SegmentStore::Write(corpus, pooled_path, wo).ok());
     EXPECT_TRUE(read(pooled_path) == want_segment) << threads << " threads";
-    EXPECT_TRUE(index_bytes(&pool) == want_index) << threads << " threads";
   }
   std::remove(inline_path.c_str());
   std::remove(pooled_path.c_str());
-  std::remove(idx_path.c_str());
 }
 
 TEST(SegmentStoreTest, OpenRejectsMissingFile) {
@@ -260,21 +270,244 @@ TEST(NgramIndexTest, PrefilterCandidatesNarrowAndStaySound) {
   std::remove(path.c_str());
 }
 
+// Once the rarest trigram leaves at most kFewCandidates documents, a
+// lookup decodes no other list, and Candidates skips the remaining
+// clauses: the gate cascade verifies the few survivors anyway.
+TEST(NgramIndexTest, LookupStopsOnceCandidatesAreFew) {
+  std::vector<Document> docs;
+  for (int d = 0; d < 200; ++d)
+    docs.emplace_back(std::string(d % 50 == 7 ? "prefix abcQRSTU suffix"
+                                              : "prefix abc only"));
+  Corpus corpus(std::move(docs));
+  const std::string path = TempPath("idx_few");
+  ASSERT_TRUE(SegmentStore::Write(corpus, path).ok());
+  Result<SegmentStore> store = SegmentStore::Open(path);
+  ASSERT_TRUE(store.ok());
+  NgramIndex index = NgramIndex::Build(store.value());
+
+  const std::string literal = "abcQRSTU";
+  uint32_t rarest = UINT32_MAX;
+  for (size_t i = 0; i + NgramIndex::kN <= literal.size(); ++i)
+    rarest = std::min(rarest, index.DocFreq(literal.substr(i, NgramIndex::kN)));
+  ASSERT_EQ(rarest, 4u);
+  ASSERT_LE(rarest, NgramIndex::kFewCandidates);
+  ASSERT_EQ(index.DocFreq("abc"), corpus.size());
+
+  LookupStats stats;
+  const std::vector<uint32_t> candidates =
+      index.LiteralCandidates(literal, &stats);
+  EXPECT_EQ(stats.postings_touched, rarest);
+  EXPECT_EQ(candidates, NaiveDocsContaining(corpus, literal));
+
+  // The rare literal's clause comes first (longest literal); the clause
+  // of "pre", in every document, is never decoded.
+  const engine::Prefilter prefilter = engine::Prefilter::FromRgx(
+      ParseRgx(".*abcQRSTU.*pre.*").ValueOrDie());
+  ASSERT_EQ(prefilter.IndexableClauses(NgramIndex::kN).size(), 2u);
+  LookupStats clause_stats;
+  const CandidateSet set = index.Candidates(prefilter, &clause_stats);
+  ASSERT_FALSE(set.all);
+  EXPECT_EQ(clause_stats.postings_touched, rarest);
+  EXPECT_EQ(set.docs, NaiveDocsContaining(corpus, literal));
+  std::remove(path.c_str());
+}
+
+// ---- index format ---------------------------------------------------------
+
+void PutLE(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out->push_back(char(v >> (8 * i)));
+}
+
+// The documented layout, encoded from a naive trigram → document-set map:
+// one {u32 trigram, u32 doc_freq, u64 postings_offset} entry per trigram
+// in increasing order, then each list as LEB128 varints, the first id
+// absolute and the rest gaps. Little-endian throughout.
+std::string ReferenceIndexBody(const Corpus& corpus) {
+  std::map<uint32_t, std::set<uint32_t>> postings;
+  for (size_t d = 0; d < corpus.size(); ++d) {
+    const std::string& text = corpus[d].text();
+    for (size_t i = 0; i + 3 <= text.size(); ++i)
+      postings[uint32_t(uint8_t(text[i])) << 16 |
+               uint32_t(uint8_t(text[i + 1])) << 8 | uint8_t(text[i + 2])]
+          .insert(uint32_t(d));
+  }
+  std::string terms, lists;
+  for (const auto& [trigram, ids] : postings) {
+    PutLE(&terms, trigram, 4);
+    PutLE(&terms, ids.size(), 4);
+    PutLE(&terms, lists.size(), 8);
+    uint32_t prev = 0;
+    for (const uint32_t id : ids) {
+      uint32_t v = id == *ids.begin() ? id : id - prev;
+      for (; v >= 0x80; v >>= 7) lists.push_back(char(v | 0x80));
+      lists.push_back(char(v));
+      prev = id;
+    }
+  }
+  return terms + lists;
+}
+
+constexpr size_t kIndexFooterBytes = 40;
+
+// Saves the index of `corpus` and returns the file's bytes.
+std::string SavedIndexBytes(const Corpus& corpus, const std::string& tag) {
+  const std::string path = TempPath(tag);
+  const std::string idx_path = IndexPathFor(path);
+  EXPECT_TRUE(SegmentStore::Write(corpus, path).ok());
+  Result<SegmentStore> store = SegmentStore::Open(path);
+  EXPECT_TRUE(store.ok());
+  EXPECT_TRUE(NgramIndex::Build(store.value()).Save(idx_path).ok());
+  Result<NgramIndex> opened = NgramIndex::Open(idx_path, corpus.size());
+  EXPECT_TRUE(opened.ok()) << tag << ": " << opened.status().ToString();
+  std::string bytes = ReadFileBytes(idx_path);
+  std::remove(path.c_str());
+  std::remove(idx_path.c_str());
+  return bytes;
+}
+
+// The saved body equals the reference encoding byte for byte, on corpora
+// at the format's edges.
+TEST(NgramIndexTest, SavedBodyMatchesReferenceEncoder) {
+  std::vector<std::pair<std::string, std::vector<std::string>>> cases;
+  cases.push_back({"no_documents", {}});
+  cases.push_back({"short", {"", "a", "ab", "", "abc", "xy", "abcd", ""}});
+  std::string up, down;
+  for (int b = 0; b < 256; ++b) {
+    up.push_back(char(b));
+    down.push_back(char(255 - b));
+  }
+  cases.push_back({"all_bytes",
+                   {up, down, std::string(5, '\0'), std::string(5, '\xff'),
+                    std::string("\xff\x00\xff\x00", 4)}});
+  cases.push_back(
+      {"repeats", {"aaaaaaaa", "abcabcabcabc", "xaaax", "aaa", "abcabc"}});
+  // Over 16,384 documents: ids and gaps take 1-, 2- and 3-byte varints.
+  std::vector<std::string> many;
+  for (int d = 0; d < 17000; ++d) {
+    std::string text = "d" + std::to_string(d % 97);
+    if (d == 0 || d == 200 || d == 16999) text += " rare";
+    if (d >= 16500 && d % 3 == 0) text += " late";
+    many.push_back(std::move(text));
+  }
+  cases.push_back({"many", std::move(many)});
+
+  for (const auto& [tag, texts] : cases) {
+    std::vector<Document> docs;
+    for (const std::string& text : texts) docs.emplace_back(text);
+    Corpus corpus(std::move(docs));
+    const std::string bytes = SavedIndexBytes(corpus, "ref_" + tag);
+    ASSERT_GE(bytes.size(), kIndexFooterBytes) << tag;
+    const std::string body = bytes.substr(0, bytes.size() - kIndexFooterBytes);
+    const std::string want = ReferenceIndexBody(corpus);
+    EXPECT_EQ(body.size(), want.size()) << tag;
+    EXPECT_TRUE(body == want) << tag;
+  }
+}
+
+// Open checks the structure that lookups trust, not just the checksums:
+// each fault below is patched into a valid index whose body and footer
+// CRCs are then recomputed, so only the structural checks can catch it.
+TEST(NgramIndexTest, OpenRejectsStructuralFaultsBehindValidChecksums) {
+  std::vector<Document> docs;
+  for (const char* text : {"abcdef", "abcxyz", "xyzabc", "bcdefg", "", "zzzz"})
+    docs.emplace_back(std::string(text));
+  Corpus corpus(std::move(docs));
+  const uint64_t num_docs = corpus.size();
+  const std::string pristine = SavedIndexBytes(corpus, "idx_struct");
+  ASSERT_GT(pristine.size(), kIndexFooterBytes);
+  const size_t body = pristine.size() - kIndexFooterBytes;
+
+  auto get = [](const std::string& b, size_t at, int width) {
+    uint64_t v = 0;
+    for (int i = 0; i < width; ++i)
+      v |= uint64_t(uint8_t(b[at + i])) << (8 * i);
+    return v;
+  };
+  auto put = [](std::string* b, size_t at, uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) (*b)[at + i] = char(v >> (8 * i));
+  };
+  const uint64_t num_terms = get(pristine, body + 24, 8);
+  const size_t term_bytes = num_terms * 16;
+  ASSERT_GE(num_terms, 3u);
+  auto entry = [](size_t k) { return k * 16; };
+  // A term whose list holds two or more ids (each id here fits one byte).
+  size_t multi = 0;
+  while (multi < num_terms && get(pristine, entry(multi) + 4, 4) < 2) ++multi;
+  ASSERT_LT(multi, num_terms);
+  // The last list ("zzz") is one id, the body's last byte.
+  ASSERT_EQ(get(pristine, entry(num_terms - 1) + 4, 4), 1u);
+  const size_t multi_list = term_bytes + get(pristine, entry(multi) + 8, 8);
+
+  const std::vector<std::pair<std::string, std::function<void(std::string*)>>>
+      faults = {
+          {"unsorted term table",
+           [&](std::string* b) {
+             const uint64_t t0 = get(*b, entry(0), 4);
+             put(b, entry(0), get(*b, entry(1), 4), 4);
+             put(b, entry(1), t0, 4);
+           }},
+          {"trigram of 2^24",
+           [&](std::string* b) { put(b, entry(num_terms - 1), 1u << 24, 4); }},
+          {"doc_freq 0", [&](std::string* b) { put(b, entry(0) + 4, 0, 4); }},
+          {"doc_freq above num_docs",
+           [&](std::string* b) { put(b, entry(0) + 4, num_docs + 1, 4); }},
+          {"doc_freq near 2^32",
+           [&](std::string* b) { put(b, entry(0) + 4, 0xfffffff0u, 4); }},
+          {"first offset not 0",
+           [&](std::string* b) { put(b, entry(0) + 8, 1, 8); }},
+          {"decreasing offset",
+           [&](std::string* b) { put(b, entry(2) + 8, 0, 8); }},
+          {"offset past the postings",
+           [&](std::string* b) {
+             put(b, entry(num_terms - 1) + 8, body - term_bytes + 1, 8);
+           }},
+          {"posting id of num_docs",
+           [&](std::string* b) { (*b)[term_bytes] = char(num_docs); }},
+          {"repeated posting id",
+           [&](std::string* b) { (*b)[multi_list + 1] = 0; }},
+          {"list shorter than its doc_freq",
+           [&](std::string* b) {
+             put(b, entry(multi) + 4, get(*b, entry(multi) + 4, 4) - 1, 4);
+           }},
+          {"bytes past the last list",
+           [&](std::string* b) { b->insert(body, 1, '\0'); }},
+          {"varint above 32 bits",
+           [&](std::string* b) {
+             b->replace(body - 1, 1, std::string("\xff\xff\xff\xff\x7f"));
+           }},
+          {"term count that wraps the table size",
+           [&](std::string* b) {
+             put(b, b->size() - kIndexFooterBytes + 24,
+                 num_terms + (uint64_t(1) << 60), 8);
+           }},
+      };
+
+  // Recomputes the body CRC and then the footer CRC over the patch.
+  auto reseal = [&](std::string b) {
+    const size_t at = b.size() - kIndexFooterBytes;
+    put(&b, at + 32, Crc32c(b.data(), at), 4);
+    put(&b, at + 36, Crc32c(b.data() + at, kIndexFooterBytes - 4), 4);
+    return b;
+  };
+  const std::string path = TempPath("idx_struct_patched");
+  WriteFileBytes(path, reseal(pristine));
+  ASSERT_TRUE(NgramIndex::Open(path, num_docs).ok());
+  for (const auto& [what, patch] : faults) {
+    std::string bytes = pristine;
+    patch(&bytes);
+    ASSERT_NE(bytes, pristine) << what;
+    WriteFileBytes(path, reseal(bytes));
+    Result<NgramIndex> r = NgramIndex::Open(path, num_docs);
+    EXPECT_FALSE(r.ok()) << what;
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+          << what << ": " << r.status().ToString();
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ---- corruption fuzzing --------------------------------------------------
-
-std::string ReadFileBytes(const std::string& path) {
-  Result<MappedFile> f = MappedFile::Open(path);
-  EXPECT_TRUE(f.ok());
-  return std::string(f.value().view());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  if (!bytes.empty())
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  ASSERT_EQ(std::fclose(f), 0);
-}
 
 // 200+ seeded rounds of truncation and bit flips at random offsets over
 // both file formats. The invariant is absolute: every corrupted load

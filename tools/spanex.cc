@@ -587,8 +587,7 @@ int main(int argc, char** argv) {
               << reopened.value().ToString() << "\n";
     if (use_index) {
       const uint64_t build_start = NowNs();
-      storage::NgramIndex built =
-          storage::NgramIndex::Build(reopened.value(), &pool);
+      storage::NgramIndex built = storage::NgramIndex::Build(reopened.value());
       const uint64_t build_ns = NowNs() - build_start;
       const std::string index_path = storage::IndexPathFor(save_corpus);
       Status saved = built.Save(index_path);
