@@ -37,6 +37,7 @@
 // Responses:
 //   success        {"id":N,"ok":true,…op-specific fields…}
 //   row chunk      {"id":N,"rows":["…","…"],"done":false}   (extract*)
+//                  zero or more, each under kRowsChunkBytes plus one row,
 //                  then a final {"id":N,"ok":true,"done":true,
 //                  "mappings":M,"matched_docs":D}
 //   error          {"id":N,"ok":false,"error":{"code":"Unavailable",
@@ -60,6 +61,10 @@ namespace server {
 /// exceed this many bytes (a corrupt or hostile peer cannot balloon the
 /// read buffer).
 inline constexpr size_t kMaxLineBytes = 64u << 20;
+
+/// A row chunk closes once its line reaches this many bytes, so no line
+/// exceeds it by more than one row (and the closing brackets).
+inline constexpr size_t kRowsChunkBytes = 256u << 10;
 
 /// "{"id":N,"ok":false,"error":{…}}" for a failed request. Includes
 /// retry_after_ms when `status` carries one (Unavailable rejections).

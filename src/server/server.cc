@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -24,8 +25,11 @@ using engine::OutputFormat;
 
 namespace {
 
-/// Row payload accumulated per chunk before it ships as one JSONL line.
-constexpr size_t kRowsChunkBytes = 256u << 10;
+/// How long an extract may run on the I/O thread before it moves to the
+/// executor. Every other connection waits while it runs, so this is what
+/// one request can add to their latency; a served one-document extract
+/// evaluates in about a microsecond, so only pathological ones trip it.
+constexpr std::chrono::milliseconds kInlineFuse{1};
 
 /// A sleeping ping polls its token this often.
 constexpr uint64_t kSleepSliceMs = 10;
@@ -35,6 +39,13 @@ uint64_t MonotonicNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The last line of a successful extraction.
+std::string DoneLine(int64_t id, uint64_t mappings, size_t matched_docs) {
+  return OkPrefix(id) + ",\"done\":true,\"mappings\":" +
+         std::to_string(mappings) +
+         ",\"matched_docs\":" + std::to_string(matched_docs) + "}";
 }
 
 }  // namespace
@@ -63,6 +74,9 @@ struct Server::Connection {
   /// Last traffic (accept, bytes read, flush progress), for idle reaping.
   /// I/O thread only, like fd/in_buf.
   uint64_t last_activity_ns = 0;
+  /// The poll round of this connection's last inline extract. I/O thread
+  /// only.
+  uint64_t inline_round = 0;
 
   // Output side, shared between the executor (EmitLine) and the I/O
   // thread (SendNow/FlushConn/CloseConn).
@@ -70,6 +84,103 @@ struct Server::Connection {
   std::condition_variable out_cv;
   std::string out_buf;
   bool closed = false;
+};
+
+/// The one row renderer of extract and extract_batch. It formats every
+/// plan's mappings exactly as offline spanex does and packs the bare rows
+/// into lines {"id":N,"rows":[…],"done":false}; a line closes once it
+/// reaches kRowsChunkBytes and goes to `ship`. With a token, each full
+/// line polls it first: a trip, or a ship that fails (the connection
+/// closed), stops the stream, and later rows are dropped.
+class Server::RowChunks {
+ public:
+  using Ship = std::function<bool(std::string line)>;
+
+  RowChunks(int64_t id, const engine::MultiQueryExtractor& fleet,
+            OutputFormat format, CancelToken* token, Ship ship)
+      : id_(id),
+        fleet_(fleet),
+        format_(format),
+        token_(token),
+        ship_(std::move(ship)) {}
+
+  /// The session's TSV header block; JSON rows have none.
+  void AddHeader() {
+    if (format_ != OutputFormat::kTsv) return;
+    if (fleet_.num_plans() == 1) {
+      Add(engine::TsvHeader(fleet_.plan(0).vars()));
+      return;
+    }
+    std::vector<const VarSet*> vars;
+    vars.reserve(fleet_.num_plans());
+    for (size_t p = 0; p < fleet_.num_plans(); ++p)
+      vars.push_back(&fleet_.plan(p).vars());
+    const std::string block = engine::FleetTsvHeader(vars);
+    size_t start = 0;
+    while (start < block.size()) {
+      const size_t nl = block.find('\n', start);
+      Add(std::string_view(block).substr(start, nl - start));
+      start = (nl == std::string::npos) ? block.size() : nl + 1;
+    }
+  }
+
+  /// Document `doc_index`'s rows, plan by plan: mappings_of(p) is plan
+  /// p's sorted mapping set for `doc`.
+  template <typename MappingsOf>
+  void AddDocument(size_t doc_index, const Document& doc,
+                   const MappingsOf& mappings_of) {
+    const bool single = fleet_.num_plans() == 1;
+    for (size_t p = 0; p < fleet_.num_plans() && !stopped_; ++p) {
+      const VarSet& vars = fleet_.plan(p).vars();
+      for (const Mapping& m : mappings_of(p)) {
+        row_.clear();
+        if (single) {
+          engine::AppendMappingRow(&row_, format_, doc_index, m, vars, doc);
+        } else {
+          engine::AppendFleetMappingRow(&row_, format_, p, doc_index, m, vars,
+                                        doc);
+        }
+        row_.pop_back();  // rows travel bare; the helper appended '\n'
+        Add(row_);
+        if (stopped_) return;
+      }
+    }
+  }
+
+  /// Ships the last, partial line. False when the stream stopped.
+  bool Finish() {
+    if (stopped_) return false;
+    if (line_.empty()) return true;
+    line_ += "],\"done\":false}";
+    return ship_(std::move(line_));
+  }
+
+  bool stopped() const { return stopped_; }
+
+ private:
+  void Add(std::string_view row) {
+    if (stopped_) return;
+    if (line_.empty()) {
+      line_ = "{\"id\":" + std::to_string(id_) + ",\"rows\":[";
+    } else {
+      line_ += ',';
+    }
+    AppendJsonString(&line_, row);
+    if (line_.size() < kRowsChunkBytes) return;
+    line_ += "],\"done\":false}";
+    stopped_ =
+        (token_ != nullptr && token_->Poll(0)) || !ship_(std::move(line_));
+    line_.clear();
+  }
+
+  const int64_t id_;
+  const engine::MultiQueryExtractor& fleet_;
+  const OutputFormat format_;
+  CancelToken* const token_;
+  const Ship ship_;
+  std::string line_;  // the open chunk, "" between chunks
+  std::string row_;
+  bool stopped_ = false;
 };
 
 Server::Server(ServerOptions options, engine::Corpus corpus)
@@ -243,6 +354,7 @@ int Server::Serve() {
     // readable fds: a request that raced the drain wakeup into the same
     // poll() batch must already see draining() and be refused.
     if (drain_requested_.load(std::memory_order_acquire)) BeginDrain();
+    ++poll_round_;
     if (rc > 0) {
       if (pfds[0].revents & POLLIN) {
         char buf[256];
@@ -622,6 +734,14 @@ Status Server::AdmitWork(const std::shared_ptr<Connection>& conn,
         std::chrono::milliseconds(options_.request_timeout_ms));
   if (options_.request_memory_cap > 0)
     item.cancel->ArmMemoryBudget(options_.request_memory_cap);
+  // An extract may run inline: once per connection per poll round, and
+  // only while the client keeps reading what it was sent.
+  bool run_inline = item.op == WorkOp::kExtract &&
+                    conn->inline_round != poll_round_;
+  if (run_inline) {
+    std::lock_guard<std::mutex> lk(conn->mu);
+    run_inline = conn->out_buf.size() < options_.output_high_watermark;
+  }
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     if (queue_.size() >= options_.queue_capacity) {
@@ -632,24 +752,84 @@ Status Server::AdmitWork(const std::shared_ptr<Connection>& conn,
           options_.retry_after_ms);
     }
     item.enqueue_ns = MonotonicNs();
-    conn->inflight.fetch_add(1, std::memory_order_relaxed);
-    queue_depth_->Record(queue_.size() + 1);
-    queue_.push_back(std::move(item));
+    // The executor is idle exactly when it has cleared its in-flight mark
+    // and the queue is empty. This thread is the queue's only producer,
+    // so it stays idle until RunInline hands the item back; claiming the
+    // mark here makes this thread batch_'s one user meanwhile.
+    run_inline = run_inline && queue_.empty() && inflight_conn_ == nullptr;
+    if (run_inline) {
+      inflight_conn_ = conn;
+      inflight_cancel_ = item.cancel;
+      inflight_enqueue_ns_ = item.enqueue_ns;
+      queue_depth_->Record(0);
+    } else {
+      EnqueueLocked(std::move(item));
+    }
   }
   n_admitted_.fetch_add(1, std::memory_order_relaxed);
-  queue_cv_.notify_one();
+  if (run_inline) {
+    conn->inline_round = poll_round_;
+    RunInline(conn, std::move(item));
+  } else {
+    queue_cv_.notify_one();
+  }
   return Status::OK();
+}
+
+void Server::EnqueueLocked(WorkItem item) {
+  item.conn->inflight.fetch_add(1, std::memory_order_relaxed);
+  queue_depth_->Record(queue_.size() + 1);
+  queue_.push_back(std::move(item));
+}
+
+void Server::RunInline(const std::shared_ptr<Connection>& conn,
+                       WorkItem item) {
+  CancelToken fuse;
+  fuse.ArmDeadline(std::chrono::steady_clock::now() + kInlineFuse);
+  if (options_.request_memory_cap > 0)
+    fuse.ArmMemoryBudget(options_.request_memory_cap);
+  // Rows collect in the connection's buffer, unflushed, so the answer
+  // leaves in as few sends as the kernel allows.
+  RowChunks rows(item.id, *item.fleet, item.format, nullptr,
+                 [&](std::string line) { return Buffer(conn, line); });
+  uint64_t mappings = 0;
+  const bool done = ExtractOne(item, &fuse, &rows, &mappings);
+  if (done) {
+    if (fuse.peak_arena_bytes() > 0)
+      request_peak_arena_bytes_->Record(fuse.peak_arena_bytes());
+    if (rows.Finish())
+      Buffer(conn, DoneLine(item.id, mappings, mappings > 0 ? 1 : 0));
+    queue_wait_ns_->Record(0);
+    request_ns_->Record(MonotonicNs() - item.enqueue_ns);
+  }
+  {
+    std::lock_guard<std::mutex> lk(queue_mu_);
+    inflight_conn_.reset();
+    inflight_cancel_.reset();
+    inflight_enqueue_ns_ = 0;
+    // A tripped fuse rendered nothing: the executor reruns the untouched
+    // item under the request's own token.
+    if (!done) EnqueueLocked(std::move(item));
+  }
+  if (done) {
+    FlushConn(conn);
+  } else {
+    queue_cv_.notify_one();
+  }
+}
+
+bool Server::Buffer(const std::shared_ptr<Connection>& conn,
+                    std::string_view line) {
+  std::lock_guard<std::mutex> lk(conn->mu);
+  if (conn->closed) return false;
+  conn->out_buf += line;
+  conn->out_buf += '\n';
+  return true;
 }
 
 void Server::SendNow(const std::shared_ptr<Connection>& conn,
                      std::string line) {
-  {
-    std::lock_guard<std::mutex> lk(conn->mu);
-    if (conn->closed) return;
-    conn->out_buf += line;
-    conn->out_buf += '\n';
-  }
-  FlushConn(conn);
+  if (Buffer(conn, line)) FlushConn(conn);
 }
 
 bool Server::FlushConn(const std::shared_ptr<Connection>& conn) {
@@ -809,28 +989,6 @@ void Server::Execute(const WorkItem& item) {
   }
 }
 
-std::vector<std::string> Server::SessionHeaderRows(
-    const engine::MultiQueryExtractor& fleet, OutputFormat format) const {
-  std::vector<std::string> rows;
-  if (format != OutputFormat::kTsv) return rows;
-  if (fleet.num_plans() == 1) {
-    rows.push_back(engine::TsvHeader(fleet.plan(0).vars()));
-    return rows;
-  }
-  std::vector<const VarSet*> vars;
-  vars.reserve(fleet.num_plans());
-  for (size_t p = 0; p < fleet.num_plans(); ++p)
-    vars.push_back(&fleet.plan(p).vars());
-  const std::string block = engine::FleetTsvHeader(vars);
-  size_t start = 0;
-  while (start < block.size()) {
-    const size_t nl = block.find('\n', start);
-    rows.push_back(block.substr(start, nl - start));
-    start = (nl == std::string::npos) ? block.size() : nl + 1;
-  }
-  return rows;
-}
-
 bool Server::FinishRequest(const WorkItem& item) {
   const CancelToken& tok = *item.cancel;
   if (tok.peak_arena_bytes() > 0)
@@ -855,74 +1013,53 @@ bool Server::FinishRequest(const WorkItem& item) {
   return true;
 }
 
-void Server::ExecuteExtract(const WorkItem& item) {
-  const engine::MultiQueryExtractor& fleet = *item.fleet;
+bool Server::ExtractOne(const WorkItem& item, CancelToken* token,
+                        RowChunks* rows, uint64_t* mappings) {
   engine::Corpus one;
   one.Add(Document(item.doc));
-  batch_.set_cancel(item.cancel.get());
-  const engine::MultiBatchResult result = batch_.ExtractMulti(fleet, one);
+  batch_.set_cancel(token);
+  const engine::MultiBatchResult result = batch_.ExtractMulti(*item.fleet, one);
   batch_.set_cancel(nullptr);
-  // A tripped token makes `result` partial garbage: the error line is
-  // the whole answer.
-  if (FinishRequest(item)) return;
+  // A tripped token makes `result` partial garbage.
+  if (token->tripped()) return false;
+  if (item.header) rows->AddHeader();
+  rows->AddDocument(item.doc_index, one[0],
+                    [&](size_t p) -> const std::vector<Mapping>& {
+                      return result.per_plan[p].per_doc[0];
+                    });
+  *mappings = result.total_mappings;
+  return true;
+}
 
-  std::vector<std::string> rows = item.header
-                                      ? SessionHeaderRows(fleet, item.format)
-                                      : std::vector<std::string>();
-  const bool single = fleet.num_plans() == 1;
-  const Document& doc = one[0];
-  std::string row;
+void Server::FinishRows(const WorkItem& item, RowChunks* rows,
+                        uint64_t mappings, size_t matched_docs) {
+  if (FinishRequest(item) || !rows->Finish()) return;
+  EmitLine(item.conn, DoneLine(item.id, mappings, matched_docs));
+}
+
+void Server::ExecuteExtract(const WorkItem& item) {
+  RowChunks rows(item.id, *item.fleet, item.format, item.cancel.get(),
+                 [&](std::string line) {
+                   return EmitLine(item.conn, std::move(line));
+                 });
   uint64_t mappings = 0;
-  for (size_t p = 0; p < fleet.num_plans(); ++p) {
-    const VarSet& vars = fleet.plan(p).vars();
-    for (const Mapping& m : result.per_plan[p].per_doc[0]) {
-      row.clear();
-      if (single) {
-        engine::AppendMappingRow(&row, item.format, item.doc_index, m, vars,
-                                 doc);
-      } else {
-        engine::AppendFleetMappingRow(&row, item.format, p, item.doc_index, m,
-                                      vars, doc);
-      }
-      row.pop_back();  // rows travel bare; the helper appended '\n'
-      rows.push_back(row);
-      ++mappings;
-    }
-  }
-  if (!rows.empty() && !EmitRowsChunk(item.conn, item.id, rows)) return;
-  EmitLine(item.conn, OkPrefix(item.id) + ",\"done\":true,\"mappings\":" +
-                          std::to_string(mappings) + ",\"matched_docs\":" +
-                          std::to_string(mappings > 0 ? 1 : 0) + "}");
+  ExtractOne(item, item.cancel.get(), &rows, &mappings);
+  FinishRows(item, &rows, mappings, mappings > 0 ? 1 : 0);
 }
 
 void Server::ExecuteExtractBatch(const WorkItem& item) {
   const engine::MultiQueryExtractor& fleet = *item.fleet;
-  const bool single = fleet.num_plans() == 1;
-
-  std::vector<std::string> rows;
-  size_t rows_bytes = 0;
-  bool dead = false;
   // The token is polled at chunk boundaries too (not per row): a slow
   // client that blocks the watermark, or a huge result set, can run a
   // request past its deadline mid-stream. A trip stops the stream — no
-  // more row chunks leave the server — and FinishRequest appends the
-  // error line.
-  auto push_row = [&](std::string r) {
-    rows_bytes += r.size();
-    rows.push_back(std::move(r));
-    if (rows_bytes >= kRowsChunkBytes) {
-      if (!dead && (item.cancel->Poll(0) ||
-                    !EmitRowsChunk(item.conn, item.id, rows)))
-        dead = true;
-      rows.clear();
-      rows_bytes = 0;
-    }
-  };
-  if (item.header)
-    for (std::string& h : SessionHeaderRows(fleet, item.format))
-      push_row(std::move(h));
+  // more row chunks leave the server — and FinishRows sends the error
+  // line.
+  RowChunks rows(item.id, fleet, item.format, item.cancel.get(),
+                 [&](std::string line) {
+                   return EmitLine(item.conn, std::move(line));
+                 });
+  if (item.header) rows.AddHeader();
 
-  std::string row;
   uint64_t total_mappings = 0;
   size_t matched_docs = 0;
   batch_.set_cancel(item.cancel.get());
@@ -934,27 +1071,16 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
     // per-plan stats count every request the session makes.
     const engine::MultiBatchResult result =
         batch_.ExtractIndexedMulti(fleet, *store_, index, &index_stats);
-    for (size_t i = 0; i < store_->num_docs() && !dead; ++i) {
+    for (size_t i = 0; i < store_->num_docs() && !rows.stopped(); ++i) {
       bool matched = false;
       for (size_t p = 0; p < result.per_plan.size(); ++p)
         matched = matched || !result.per_plan[p].per_doc[i].empty();
       if (!matched) continue;
       ++matched_docs;
-      const Document doc = store_->MaterializeDoc(i);
-      for (size_t p = 0; p < result.per_plan.size(); ++p) {
-        const VarSet& vars = fleet.plan(p).vars();
-        for (const Mapping& m : result.per_plan[p].per_doc[i]) {
-          row.clear();
-          if (single) {
-            engine::AppendMappingRow(&row, item.format, i, m, vars, doc);
-          } else {
-            engine::AppendFleetMappingRow(&row, item.format, p, i, m, vars,
-                                          doc);
-          }
-          row.pop_back();
-          push_row(row);
-        }
-      }
+      rows.AddDocument(i, store_->MaterializeDoc(i),
+                       [&](size_t p) -> const std::vector<Mapping>& {
+                         return result.per_plan[p].per_doc[i];
+                       });
     }
     total_mappings = result.total_mappings;
     {
@@ -965,44 +1091,24 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
   } else {
     // In-memory corpus: the bounded-window streaming path — each window's
     // shards arrive in corpus order once it is extracted, and the
-    // EmitRowsChunk watermark block holds back the next window.
+    // EmitLine watermark block holds back the next window.
     const engine::BatchExtractor::StreamStats stats =
         batch_.ExtractMultiStream(
             fleet, corpus_,
             [&](size_t doc_begin, size_t doc_end,
                 std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
-              if (dead) return;
-              for (size_t i = doc_begin; i < doc_end; ++i) {
-                for (size_t p = 0; p < per_plan.size(); ++p) {
-                  const VarSet& vars = fleet.plan(p).vars();
-                  for (const Mapping& m : per_plan[p][i - doc_begin]) {
-                    row.clear();
-                    if (single) {
-                      engine::AppendMappingRow(&row, item.format, i, m, vars,
-                                               corpus_[i]);
-                    } else {
-                      engine::AppendFleetMappingRow(&row, item.format, p, i,
-                                                    m, vars, corpus_[i]);
-                    }
-                    row.pop_back();
-                    push_row(row);
-                  }
-                }
-              }
+              for (size_t i = doc_begin; i < doc_end && !rows.stopped(); ++i)
+                rows.AddDocument(
+                    i, corpus_[i],
+                    [&](size_t p) -> const std::vector<Mapping>& {
+                      return per_plan[p][i - doc_begin];
+                    });
             });
     total_mappings = stats.total_mappings;
     matched_docs = stats.matched_documents;
   }
   batch_.set_cancel(nullptr);
-
-  if (FinishRequest(item)) return;
-  if (!dead && !rows.empty() && !EmitRowsChunk(item.conn, item.id, rows))
-    dead = true;
-  if (dead) return;
-  EmitLine(item.conn, OkPrefix(item.id) + ",\"done\":true,\"mappings\":" +
-                          std::to_string(total_mappings) +
-                          ",\"matched_docs\":" + std::to_string(matched_docs) +
-                          "}");
+  FinishRows(item, &rows, total_mappings, matched_docs);
 }
 
 bool Server::EmitLine(const std::shared_ptr<Connection>& conn,
@@ -1018,17 +1124,6 @@ bool Server::EmitLine(const std::shared_ptr<Connection>& conn,
   lk.unlock();
   WakeIo();
   return true;
-}
-
-bool Server::EmitRowsChunk(const std::shared_ptr<Connection>& conn,
-                           int64_t id, const std::vector<std::string>& rows) {
-  std::string chunk = "{\"id\":" + std::to_string(id) + ",\"rows\":[";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) chunk += ',';
-    AppendJsonString(&chunk, rows[i]);
-  }
-  chunk += "],\"done\":false}";
-  return EmitLine(conn, std::move(chunk));
 }
 
 engine::ServerStatsReport Server::StatsSnapshot() const {

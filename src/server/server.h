@@ -8,28 +8,43 @@
 //
 //   clients ──► poll() I/O thread ──► bounded admission queue ──► executor
 //                 │   (accept, read, parse, control ops,           thread
-//                 │    partial-write buffering)                      │
-//                 │                                                  ▼
+//                 │    cheap extracts under a 1 ms fuse,             │
+//                 │    partial-write buffering)                      ▼
 //                 ◄── per-connection output buffers ◄── BatchExtractor
 //                      (watermark backpressure)      (executor + ThreadPool)
 //
 // The I/O thread owns every socket and all session state (registered
 // plan handles → PlanCache entries); it answers control-plane requests
 // (ping, register, unregister, stats, drain) inline and routes
-// extraction work (extract, extract_batch, sleeping pings) through the
-// admission queue. Admission is where backpressure lives:
+// extraction work (extract, extract_batch, sleeping pings) through
+// admission. Admission is where backpressure lives:
 //
 //   - queue full                → Unavailable + retry_after_ms
 //   - per-client in-flight cap  → Unavailable + retry_after_ms
 //   - draining                  → Unavailable + retry_after_ms
 //
+// Where an `extract` runs: when the executor is idle, the queue is empty
+// and the connection's output is under the watermark, the I/O thread runs
+// the one document itself and writes the answer straight to the socket,
+// skipping both thread hand-offs. It takes at most one such extract per
+// connection per poll round, so a pipelined burst cannot hold the loop,
+// and runs it under a fuse: a token armed with kInlineFuse (1 ms) and the
+// request's memory cap. The attempt emits nothing until it finishes; on
+// any trip the untouched item joins the queue and the executor reruns it
+// under the request's own token, so a poison request costs every other
+// connection at most 1 ms. Everything else — extract_batch, sleeping
+// pings, a busy executor — queues.
+//
 // The executor thread drains the queue in FIFO order and runs each item
 // on one shared BatchExtractor (requests serialize at the batch level —
 // the extractor is non-reentrant by contract — while each request
-// parallelizes internally across the pool). The executor is itself one of
-// the extraction threads: `-j 1` starts no pool thread, and a
-// one-document extract wakes none at any width. Response rows stream back in
-// bounded chunks; a connection whose output buffer exceeds the high
+// parallelizes internally across the pool). The I/O thread is the
+// queue's only producer and goes inline only after the executor has
+// cleared its in-flight mark under the queue lock, so the BatchExtractor
+// has one user at a time. The executor is itself one of the extraction
+// threads: `-j 1` starts no pool thread, and a one-document extract
+// wakes none at any width. Response rows travel in chunks of about
+// kRowsChunkBytes; a connection whose output buffer exceeds the high
 // watermark blocks the executor until the I/O thread drains it, so a
 // slow reader throttles its own extraction instead of ballooning server
 // memory (the bounded-window ExtractMultiStream machinery then holds
@@ -55,6 +70,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -92,7 +108,8 @@ struct ServerOptions {
   /// One request line may not exceed this (oversized ⇒ error + close).
   size_t max_request_bytes = 16u << 20;
   /// Pending-output bytes per connection above which the executor blocks
-  /// until the I/O thread drains the buffer (slow-reader backpressure).
+  /// until the I/O thread drains the buffer (slow-reader backpressure),
+  /// and the connection's extracts stop running inline.
   size_t output_high_watermark = 4u << 20;
   /// After drain, wait at most this long for clients to read buffered
   /// responses before force-closing them.
@@ -160,6 +177,7 @@ class Server {
 
  private:
   struct Connection;
+  class RowChunks;
   enum class WorkOp { kSleepPing, kExtract, kExtractBatch };
   struct WorkItem {
     std::shared_ptr<Connection> conn;
@@ -173,12 +191,14 @@ class Server {
     /// Immutable fleet snapshot taken at admission (session plans, or the
     /// cache-wide CachedFleet for "all" batches).
     std::shared_ptr<const engine::MultiQueryExtractor> fleet;
+    /// Admission time (an inline extract keeps it if its fuse trips).
     uint64_t enqueue_ns = 0;
     /// The request's cancellation token, armed at admission with the
     /// deadline and the per-request memory cap. CloseConn cancels it so a
     /// disconnect aborts queued AND in-flight work; the executor polls it
     /// at dequeue, while sleeping and at chunk boundaries, and hands it to
-    /// the BatchExtractor for the duration of an extraction.
+    /// the BatchExtractor for the duration of an extraction. An inline
+    /// attempt runs under its own fuse instead and leaves this untouched.
     std::shared_ptr<CancelToken> cancel;
   };
 
@@ -192,9 +212,17 @@ class Server {
   void HandleUnregister(const std::shared_ptr<Connection>& conn, int64_t id,
                         const JsonValue& req);
   void HandleStats(const std::shared_ptr<Connection>& conn, int64_t id);
+  /// Refuses, runs inline (RunInline) or queues one work item.
   Status AdmitWork(const std::shared_ptr<Connection>& conn, WorkItem item);
-  /// Appends a response line to the connection's output buffer and
-  /// attempts an immediate non-blocking flush. I/O thread only.
+  /// Appends `item` to the admission queue. Caller holds queue_mu_.
+  void EnqueueLocked(WorkItem item);
+  /// Runs an admitted extract on the I/O thread under the 1 ms fuse and
+  /// sends its answer, or queues it untouched when the fuse trips.
+  void RunInline(const std::shared_ptr<Connection>& conn, WorkItem item);
+  /// Appends a response line to the connection's output buffer; false
+  /// once the connection closed.
+  bool Buffer(const std::shared_ptr<Connection>& conn, std::string_view line);
+  /// Buffer, then an immediate non-blocking flush. I/O thread only.
   void SendNow(const std::shared_ptr<Connection>& conn, std::string line);
   /// Non-blocking socket write of whatever is buffered; closes the
   /// connection on a hard error. Returns false when the connection died.
@@ -216,6 +244,16 @@ class Server {
   void Execute(const WorkItem& item);
   void ExecuteExtract(const WorkItem& item);
   void ExecuteExtractBatch(const WorkItem& item);
+  /// Extracts `item`'s one document under `token` and, unless the token
+  /// tripped, renders its header and rows into `rows` and returns true.
+  /// Runs on whichever thread holds batch_: the executor, or the I/O
+  /// thread inline.
+  bool ExtractOne(const WorkItem& item, CancelToken* token, RowChunks* rows,
+                  uint64_t* mappings);
+  /// The executor's end of an extraction: the error line if the token
+  /// tripped, else the last row chunk and the done line.
+  void FinishRows(const WorkItem& item, RowChunks* rows, uint64_t mappings,
+                  size_t matched_docs);
   /// Epilogue of every executed or expired item: records the request's
   /// peak arena bytes and, when its token tripped, emits the matching
   /// error line and bumps the matching counter — the one place a trip
@@ -225,13 +263,6 @@ class Server {
   /// Blocks while the connection's output buffer is above the high
   /// watermark; false when the connection closed (drop the output).
   bool EmitLine(const std::shared_ptr<Connection>& conn, std::string line);
-  /// {"id":N,"rows":[…],"done":false} from bare (newline-free) rows.
-  bool EmitRowsChunk(const std::shared_ptr<Connection>& conn, int64_t id,
-                     const std::vector<std::string>& rows);
-
-  std::vector<std::string> SessionHeaderRows(
-      const engine::MultiQueryExtractor& fleet,
-      engine::OutputFormat format) const;
 
   ServerOptions options_;
 
@@ -251,6 +282,9 @@ class Server {
   bool started_ = false;
   uint64_t start_ns_ = 0;
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  /// Serve()'s poll rounds so far; a connection runs at most one extract
+  /// inline per round. I/O thread only.
+  uint64_t poll_round_ = 0;
 
   // Admission queue (queue_mu_ guards queue_; the cv wakes the executor;
   // mutable so StatsSnapshot can read the depth).
@@ -258,10 +292,11 @@ class Server {
   std::condition_variable queue_cv_;
   std::deque<WorkItem> queue_;
 
-  // The item the executor is currently running (guarded by queue_mu_;
-  // empty between items). CloseConn cancels inflight_cancel_ when the
-  // dying connection owns it; StatsSnapshot derives the oldest
-  // in-flight age from inflight_enqueue_ns_ and the queue front.
+  // The item running now, on the executor or inline on the I/O thread
+  // (guarded by queue_mu_; empty between items). CloseConn cancels
+  // inflight_cancel_ when the dying connection owns it; StatsSnapshot
+  // derives the oldest in-flight age from inflight_enqueue_ns_ and the
+  // queue front; the I/O thread goes inline only while it is empty.
   std::shared_ptr<Connection> inflight_conn_;
   std::shared_ptr<CancelToken> inflight_cancel_;
   uint64_t inflight_enqueue_ns_ = 0;

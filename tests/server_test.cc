@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -22,7 +23,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/json.h"
 #include "server/protocol.h"
@@ -644,13 +647,19 @@ class RawClient {
 
   /// Next response line, read through a 1-byte window when `slow`.
   Result<JsonValue> ReadLine(bool slow) {
+    Result<std::string> line = ReadRawLine(slow);
+    if (!line.ok()) return line.status();
+    return ParseJson(*line);
+  }
+
+  /// Next response line as it crossed the wire, without its newline.
+  Result<std::string> ReadRawLine(bool slow) {
     for (;;) {
       const size_t nl = buf_.find('\n');
       if (nl != std::string::npos) {
-        Result<JsonValue> parsed =
-            ParseJson(std::string_view(buf_.data(), nl));
+        std::string line = buf_.substr(0, nl);
         buf_.erase(0, nl + 1);
-        return parsed;
+        return line;
       }
       char chunk[4096];
       ssize_t n;
@@ -678,6 +687,47 @@ class RawClient {
   std::string buf_;
 };
 
+/// One streamed answer as it crossed the wire.
+struct RawAnswer {
+  std::string rows;                    // every row, '\n'-terminated
+  std::vector<size_t> row_line_bytes;  // each row-chunk line's size
+  std::vector<int64_t> row_line_ids;   // each row-chunk line's id
+  int64_t id = -1;                     // the final line's id
+  Status status;                       // the final line's status
+};
+
+/// Reads row-chunk lines up to and including the final line, through a
+/// 1-byte window when `slow`.
+RawAnswer ReadAnswer(RawClient& raw, bool slow = false) {
+  RawAnswer answer;
+  for (;;) {
+    Result<std::string> line = raw.ReadRawLine(slow);
+    if (!line.ok()) {
+      answer.status = line.status();
+      return answer;
+    }
+    Result<JsonValue> parsed = ParseJson(*line);
+    if (!parsed.ok()) {
+      answer.status = parsed.status();
+      return answer;
+    }
+    const JsonValue* rows = parsed->Find("rows");
+    if (rows != nullptr && rows->is_array() &&
+        !parsed->BoolOr("done", false)) {
+      answer.row_line_bytes.push_back(line->size());
+      answer.row_line_ids.push_back(parsed->IntOr("id", -1));
+      for (const JsonValue& r : rows->items()) {
+        answer.rows += r.AsString();
+        answer.rows += '\n';
+      }
+      continue;
+    }
+    answer.id = parsed->IntOr("id", -1);
+    answer.status = StatusFromResponse(*parsed);
+    return answer;
+  }
+}
+
 /// Drives register + extract_batch over a RawClient and returns the
 /// streamed rows; `slow` reads every response byte individually.
 std::string RawServedBatch(RawClient& raw, const std::string& pattern,
@@ -694,23 +744,9 @@ std::string RawServedBatch(RawClient& raw, const std::string& pattern,
       "\"header\":true}\n";
   EXPECT_TRUE(trickle_requests ? raw.SendTrickle(batch, 200)
                                : raw.SendAll(batch));
-  std::string served;
-  for (;;) {
-    Result<JsonValue> line = raw.ReadLine(slow_reads);
-    EXPECT_TRUE(line.ok()) << line.status().ToString();
-    if (!line.ok()) return served;
-    const JsonValue* rows = line->Find("rows");
-    if (rows != nullptr && rows->is_array() && !line->BoolOr("done", false)) {
-      for (const JsonValue& r : rows->items()) {
-        served += r.AsString();
-        served += '\n';
-      }
-      continue;
-    }
-    EXPECT_TRUE(StatusFromResponse(*line).ok())
-        << StatusFromResponse(*line).ToString();
-    return served;
-  }
+  const RawAnswer answer = ReadAnswer(raw, slow_reads);
+  EXPECT_TRUE(answer.status.ok()) << answer.status.ToString();
+  return answer.rows;
 }
 
 // A request delivered one byte per poll() wakeup must parse and serve
@@ -957,6 +993,225 @@ TEST(ServerTest, IndexedSinglePlanRowsAndStatsCountCandidates) {
                 plan_stats->IntOr("evaluated", -1),
             int64_t(offline.candidate_docs));
   std::remove(path.c_str());
+}
+
+// ---- extracts run inline on the I/O thread ------------------------------
+
+std::string ExtractLine(int64_t id, const std::string& doc, size_t doc_index) {
+  std::string line =
+      "{\"op\":\"extract\",\"id\":" + std::to_string(id) + ",\"doc\":";
+  AppendJsonString(&line, doc);
+  return line + ",\"doc_index\":" + std::to_string(doc_index) +
+         ",\"format\":\"tsv\"}\n";
+}
+
+void MustRegister(RawClient& raw, const std::string& pattern) {
+  std::string line = "{\"op\":\"register\",\"id\":0,\"pattern\":";
+  AppendJsonString(&line, pattern);
+  ASSERT_TRUE(raw.SendAll(line + "}\n"));
+  Result<JsonValue> response = raw.ReadLine(/*slow=*/false);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(StatusFromResponse(*response).ok())
+      << StatusFromResponse(*response).ToString();
+}
+
+/// Sends a sleeping ping on `holder` and returns once the executor runs
+/// it; extracts admitted during the sleep queue behind it.
+void HoldExecutor(RunningServer& rs, Client& holder, int sleep_ms) {
+  const uint64_t admitted = rs.server().StatsSnapshot().admitted;
+  ASSERT_TRUE(holder
+                  .SendLine("{\"op\":\"ping\",\"id\":" +
+                            std::to_string(holder.NextId()) +
+                            ",\"sleep_ms\":" + std::to_string(sleep_ms) + "}")
+                  .ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    const engine::ServerStatsReport s = rs.server().StatsSnapshot();
+    if (s.admitted > admitted && s.queue_depth == 0) return;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the sleeping ping never reached the executor";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Work items that waited 0 ns for the executor: the extracts that ran
+/// inline on the I/O thread (process-wide; one server runs at a time).
+uint64_t InlineRuns() {
+  const obs::HistogramSnapshot wait = obs::MetricsRegistry::Global()
+                                          .GetHistogram("server.queue_wait_ns",
+                                                        "ns")
+                                          ->Snapshot();
+  return !wait.buckets.empty() && wait.buckets[0].first == 0
+             ? wait.buckets[0].second
+             : 0;
+}
+
+/// Clears the armed fault schedule on scope exit.
+struct FaultScope {
+  ~FaultScope() { fault::Clear(); }
+};
+
+// An extract answers in bounded chunks, as extract_batch does: a 135-byte
+// all-`a` document under .*x{a*}.* has 9,316 rows (516 KB of TSV), which
+// arrive in several row lines, none past kRowsChunkBytes by more than one
+// row, byte-identical to offline spanex. Its evaluation outlasts the
+// inline fuse, so on an idle executor too the executor renders it, with
+// the renderer extract_batch uses.
+TEST(ServerChunkTest, ExtractAnswersInBoundedChunks) {
+  const std::string kAllSpans = ".*x{a*}.*";
+  const std::string doc(135, 'a');
+  Corpus one;
+  one.Add(Document(doc));
+  const std::string want =
+      OfflineOutput({kAllSpans}, one, OutputFormat::kTsv, false);
+  // A line closes once it reaches kRowsChunkBytes, so it can pass that by
+  // one encoded row, its comma and the closing brackets.
+  size_t longest_row = 0;
+  for (size_t start = 0, nl; (nl = want.find('\n', start)) !=
+                             std::string::npos;
+       start = nl + 1) {
+    std::string encoded;
+    AppendJsonString(&encoded, std::string_view(want).substr(start,
+                                                             nl - start));
+    longest_row = std::max(longest_row, encoded.size());
+  }
+  const size_t bound =
+      kRowsChunkBytes + 1 + longest_row + std::strlen("],\"done\":false}");
+  auto expect_chunked = [&](const RawAnswer& answer, const char* how) {
+    SCOPED_TRACE(how);
+    ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+    EXPECT_EQ(answer.rows, want);
+    EXPECT_GE(answer.row_line_bytes.size(), 2u);
+    for (size_t bytes : answer.row_line_bytes) EXPECT_LE(bytes, bound);
+  };
+
+  RunningServer rs(ServerOptions{}, one);
+  RawClient raw(rs.socket_path());
+  MustRegister(raw, kAllSpans);
+  ASSERT_TRUE(raw.SendAll(ExtractLine(1, doc, 0)));
+  expect_chunked(ReadAnswer(raw), "idle executor");
+
+  Client holder = rs.MustConnect();
+  HoldExecutor(rs, holder, 300);
+  ASSERT_TRUE(raw.SendAll(ExtractLine(2, doc, 0)));
+  expect_chunked(ReadAnswer(raw), "queued");
+  Result<JsonValue> slept = holder.ReadResponseLine();
+  ASSERT_TRUE(slept.ok() && StatusFromResponse(*slept).ok());
+
+  ASSERT_TRUE(raw.SendAll("{\"op\":\"extract_batch\",\"id\":3}\n"));
+  expect_chunked(ReadAnswer(raw), "extract_batch");
+}
+
+// A poison extract — Θ(n²) rows over 4,096 `a`s — must not hold the I/O
+// thread: its inline attempt trips the 1 ms fuse and moves to the
+// executor, so a ping on another connection still answers at once. The
+// poison then answers DeadlineExceeded, or, when its client disconnects,
+// is cancelled.
+TEST(ServerTest, PoisonExtractLeavesIoThreadFree) {
+  for (const bool disconnect : {false, true}) {
+    SCOPED_TRACE(disconnect ? "disconnect" : "deadline");
+    ServerOptions options;
+    options.request_timeout_ms = 5000;
+    RunningServer rs(options);
+    Client other = rs.MustConnect();
+    std::optional<RawClient> poison(std::in_place, rs.socket_path());
+    MustRegister(*poison, ".*x{a*}.*");
+    ASSERT_TRUE(poison->SendAll(ExtractLine(1, std::string(4096, 'a'), 0)));
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(other.Ping().ok());
+    const auto ping_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    EXPECT_LT(ping_ms, 100);
+
+    if (!disconnect) {
+      const RawAnswer answer = ReadAnswer(*poison);
+      EXPECT_EQ(answer.id, 1);
+      EXPECT_EQ(answer.status.code(), StatusCode::kDeadlineExceeded)
+          << answer.status.ToString();
+      EXPECT_TRUE(answer.rows.empty());
+      EXPECT_EQ(rs.server().StatsSnapshot().deadline_exceeded, 1u);
+      continue;
+    }
+    poison.reset();  // disconnect mid-evaluation
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (rs.server().StatsSnapshot().cancelled == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const engine::ServerStatsReport stats = rs.server().StatsSnapshot();
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.deadline_exceeded, 0u);
+  }
+}
+
+// One connection pipelines 50 extracts of needle and haystack documents
+// in one write. Whether they queue behind a held executor, or the first
+// runs inline on an idle one (one per connection per poll round; the
+// write arrives in one read) and the rest queue, with or without 5-byte
+// sends, every answer arrives once, in request order, with the offline
+// rows, and the accounting adds up afterwards.
+TEST(ServerTest, PipelinedExtractsKeepOrderInlineAndQueued) {
+  const std::vector<std::string> patterns = {kErrPattern, kWarnPattern};
+  const Corpus base = TestCorpus();
+  Corpus docs;
+  for (size_t i = 0; i < 50; ++i) {
+    std::string text = base[i % base.size()].text();
+    if (i % 7 == 3) text = std::string(200, 'z') + text;  // longer haystack
+    docs.Add(Document(text));
+  }
+  const std::string want =
+      OfflineOutput(patterns, docs, OutputFormat::kTsv, false);
+  std::string burst;
+  for (size_t i = 0; i < docs.size(); ++i)
+    burst += ExtractLine(int64_t(i) + 1, docs[i].text(), i);
+
+  enum class Way { kQueued, kIdle, kShortWrites };
+  for (const Way way : {Way::kQueued, Way::kIdle, Way::kShortWrites}) {
+    SCOPED_TRACE(int(way));
+    ServerOptions options;
+    options.max_inflight_per_client = 64;
+    RunningServer rs(options);
+    RawClient raw(rs.socket_path());
+    for (const std::string& p : patterns) MustRegister(raw, p);
+    Client holder = rs.MustConnect();
+    FaultScope faults;
+    if (way == Way::kQueued) HoldExecutor(rs, holder, 300);
+    if (way == Way::kShortWrites)
+      ASSERT_TRUE(fault::Configure("server.write=short,bytes=5").ok());
+    const uint64_t admitted = rs.server().StatsSnapshot().admitted;
+    const uint64_t inline_runs = InlineRuns();
+
+    ASSERT_TRUE(raw.SendAll(burst));
+    std::string served;
+    for (int64_t id = 1; id <= int64_t(docs.size()); ++id) {
+      const RawAnswer answer = ReadAnswer(raw);
+      ASSERT_EQ(answer.id, id);
+      ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
+      for (int64_t chunk_id : answer.row_line_ids) EXPECT_EQ(chunk_id, id);
+      served += answer.rows;
+    }
+    EXPECT_EQ(served, want);
+    EXPECT_EQ(InlineRuns() - inline_runs, way == Way::kQueued ? 0u : 1u);
+    if (way == Way::kQueued) {
+      Result<JsonValue> slept = holder.ReadResponseLine();
+      ASSERT_TRUE(slept.ok() && StatusFromResponse(*slept).ok());
+    }
+    fault::Clear();
+
+    const engine::ServerStatsReport stats = rs.server().StatsSnapshot();
+    EXPECT_EQ(stats.admitted - admitted, docs.size());
+    EXPECT_EQ(stats.queue_depth, 0u);
+    EXPECT_EQ(stats.rejected_inflight_cap + stats.rejected_queue_full, 0u);
+    ASSERT_TRUE(raw.SendAll("{\"op\":\"extract_batch\",\"id\":99}\n"));
+    const RawAnswer batch = ReadAnswer(raw);
+    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+    EXPECT_EQ(batch.rows, OfflineOutput(patterns, base, OutputFormat::kTsv,
+                                        false));
+  }
 }
 
 }  // namespace
