@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iterator>
 #include <utility>
 
@@ -13,6 +14,10 @@ namespace spanners {
 namespace engine {
 
 namespace {
+
+/// Emptied hit vectors one thread keeps for its next hits; like
+/// MappingPool's bound, it caps what one huge result leaves behind.
+constexpr size_t kMaxSpareVectors = 4096;
 
 /// Whole-document wall time (gate + evaluator + sort), one observation per
 /// (document, extractor) — and per (document, fleet) in multi mode, where
@@ -134,34 +139,63 @@ struct StoreSource {
 
 }  // namespace
 
-size_t BatchResult::MatchedDocuments() const {
-  size_t n = 0;
-  for (const auto& ms : per_doc)
-    if (!ms.empty()) ++n;
-  return n;
+const std::vector<Mapping> HitList::kNoMappings;
+
+void HitList::Index() {
+  blocks_.clear();
+  if (hits_.empty()) return;
+  blocks_.resize((num_docs_ + 63) / 64);
+  for (const Hit& hit : hits_)
+    blocks_[hit.doc >> 6].bits |= uint64_t{1} << (hit.doc & 63);
+  size_t rank = 0;
+  for (Block& block : blocks_) {
+    block.rank = rank;
+    rank += static_cast<size_t>(__builtin_popcountll(block.bits));
+  }
+}
+
+std::vector<size_t> MultiBatchResult::HitDocuments() const {
+  std::vector<size_t> docs;
+  std::vector<size_t> next(per_plan.size(), 0);  // each plan's next hit
+  for (;;) {
+    size_t doc = SIZE_MAX;
+    for (size_t p = 0; p < per_plan.size(); ++p) {
+      const std::vector<HitList::Hit>& hits = per_plan[p].per_doc.hits();
+      if (next[p] < hits.size()) doc = std::min(doc, hits[next[p]].doc);
+    }
+    if (doc == SIZE_MAX) return docs;
+    docs.push_back(doc);
+    for (size_t p = 0; p < per_plan.size(); ++p) {
+      const std::vector<HitList::Hit>& hits = per_plan[p].per_doc.hits();
+      if (next[p] < hits.size() && hits[next[p]].doc == doc) ++next[p];
+    }
+  }
 }
 
 BatchExtractor::BatchExtractor(BatchOptions options)
     : options_(options), pool_(options.num_threads) {
-  thread_scratch_.reserve(pool_.num_threads());
+  threads_.reserve(pool_.num_threads());
   for (size_t i = 0; i < pool_.num_threads(); ++i)
-    thread_scratch_.push_back(std::make_unique<PlanScratch>());
+    threads_.push_back(std::make_unique<ThreadState>());
 }
 
-// Step: extracts one document into its outputs' slots — output o's into
-// slots[o][k] — adds each output's mappings to sums[o], and returns the
-// document's mappings over every output.
+// Step: extracts one document into its outputs' empty slots — output o's
+// into slots[o][k] — adds each output's mappings to sums[o] and any
+// document it counts to *counted, and returns the document's mappings over
+// every output. Publish(counted) runs once per shard, after its last
+// document.
 
 struct BatchExtractor::ExtractorStep {  // one output: the sorted ⟦γ⟧_d
   const DocumentExtractor& extractor;
   size_t outputs() const { return 1; }
   uint64_t operator()(const Document& doc, PlanScratch* scratch,
                       std::vector<Mapping>* const* slots, size_t k,
-                      uint64_t* sums) const {
+                      uint64_t* sums, uint64_t* /*counted*/) const {
     extractor.ExtractSortedInto(doc, scratch, &slots[0][k]);
     *sums += slots[0][k].size();
     return slots[0][k].size();
   }
+  void Publish(uint64_t /*counted*/) const {}
 };
 
 struct BatchExtractor::FleetStep {  // one output per plan: survivors only
@@ -169,9 +203,11 @@ struct BatchExtractor::FleetStep {  // one output per plan: survivors only
   size_t outputs() const { return fleet.num_plans(); }
   uint64_t operator()(const Document& doc, PlanScratch* scratch,
                       std::vector<Mapping>* const* slots, size_t k,
-                      uint64_t* sums) const {
-    return fleet.ExtractSurvivorsInto(doc, scratch, slots, k, sums);
+                      uint64_t* sums, uint64_t* counted) const {
+    return fleet.ExtractSurvivorsInto(doc, scratch, slots, k, sums, counted);
   }
+  // The fleet's shared document count takes one write per shard.
+  void Publish(uint64_t counted) const { fleet.CountDocuments(counted); }
 };
 
 template <typename Source, typename Step>
@@ -198,33 +234,30 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   std::vector<uint64_t> sums(shards.size() * row, 0);
   std::vector<size_t> matched(shards.size(), 0);
 
-  // The sink: the caller's results, one per output, whose slot d holds
-  // document d; or, streaming, per-shard slices — slice[o][i] holds
-  // position shard.begin + i of output o — that each shard's task
+  // The sink: the caller's results, one per output, joined after the run
+  // from each shard's hits; or, streaming, per-shard slices — slice[o][i]
+  // holds position shard.begin + i of output o — that each shard's task
   // allocates itself (so in its thread's malloc arena) and the calling
   // thread hands to the consumer in order.
-  std::vector<std::vector<Mapping>*> result_slots;
-  for (size_t o = 0; results != nullptr && o < outputs; ++o) {
-    results[o].per_doc.resize(source.num_docs());
-    results[o].total_mappings = 0;
-    results[o].shards = shards.size();
-    result_slots.push_back(results[o].per_doc.data());
-  }
+  if (results != nullptr && shard_hits_.size() < shards.size())
+    shard_hits_.resize(shards.size());
   struct Slice {
     std::vector<std::vector<std::vector<Mapping>>> per_output;
     std::vector<std::vector<Mapping>*> slots;
   };
   std::vector<Slice> slices(results == nullptr ? shards.size() : 0);
 
-  // The one task body. Each shard writes only its own slots and its own
-  // row of sums, so nothing needs a lock. Every thread extracts through
-  // its own arena-backed scratch; output order is fixed by document slot +
+  // The one task body. Each shard writes only its own hits or slice and its
+  // own row of sums, so nothing needs a lock. Every thread extracts through
+  // its own arena-backed scratch; output order is fixed by document order +
   // Mapping sort, so results are byte-identical for any thread count.
   auto extract = [&](size_t s, size_t thread) {
     const Shard& shard = shards[s];
-    PlanScratch& scratch = *thread_scratch_[thread];
+    ThreadState& state = *threads_[thread];
+    PlanScratch& scratch = state.scratch;
     scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
-    std::vector<Mapping>* const* slots = result_slots.data();
+    std::vector<Mapping>* const* slots;
+    std::vector<ShardHit>* hits = nullptr;
     if (results == nullptr) {
       Slice& slice = slices[s];
       slice.per_output.resize(outputs);
@@ -234,25 +267,68 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
       }
       slots = slice.slots.data();
     } else {
-      // A reused result's stale slots go back to this thread's pool
-      // first, output by output over the shard, so the step touches only
-      // what it extracts.
-      for (size_t o = 0; o < outputs; ++o)
-        for (size_t j = shard.begin; j < shard.end; ++j) {
-          std::vector<Mapping>& slot = slots[o][source.id(j)];
-          if (!slot.empty()) scratch.pool.RecycleAll(&slot);
+      // A reused result's hits on this shard's documents — from its first
+      // up to the next shard's first — come back to this thread: mappings
+      // to the pool, vectors to the spares, last first, so that hits on
+      // the same documents take their own vectors back in order.
+      const size_t from = s == 0 ? 0 : source.id(shard.begin);
+      const size_t to =
+          s + 1 == shards.size() ? SIZE_MAX : source.id(shards[s + 1].begin);
+      auto before = [](const HitList::Hit& hit, size_t doc) {
+        return hit.doc < doc;
+      };
+      for (size_t o = 0; o < outputs; ++o) {
+        std::vector<HitList::Hit>& old = results[o].per_doc.hits_;
+        const auto first =
+            std::lower_bound(old.begin(), old.end(), from, before);
+        for (auto it = std::lower_bound(first, old.end(), to, before);
+             it != first;) {
+          --it;
+          scratch.pool.RecycleAll(&it->mappings);
+          if (state.spare.size() < kMaxSpareVectors)
+            state.spare.push_back(std::move(it->mappings));
         }
+      }
+      if (state.slots.size() < outputs) {
+        state.slots.resize(outputs);
+        state.slot_ptrs.clear();
+        for (std::vector<Mapping>& slot : state.slots)
+          state.slot_ptrs.push_back(&slot);
+      }
+      slots = state.slot_ptrs.data();
+      hits = &shard_hits_[s];
+      hits->clear();
     }
     uint64_t* shard_sums = &sums[s * row];
     size_t shard_matched = 0;
+    uint64_t counted = 0;
     for (size_t j = shard.begin; j < shard.end; ++j) {
       if (cancel_ != nullptr && cancel_->tripped()) break;
       const size_t d = source.id(j);
       obs::ObsSpan span(DocHistogram(), "doc", d);
-      const size_t slot = results != nullptr ? d : j - shard.begin;
-      if (step(source.doc(j), &scratch, slots, slot, shard_sums) > 0)
-        ++shard_matched;
+      const size_t slot = results != nullptr ? 0 : j - shard.begin;
+      if (step(source.doc(j), &scratch, slots, slot, shard_sums, &counted) ==
+          0)
+        continue;
+      ++shard_matched;
+      if (hits == nullptr) continue;
+      // Only this document's non-empty slots move out, into a spare: the
+      // slot keeps its capacity for the next document.
+      for (size_t o = 0; o < outputs; ++o) {
+        std::vector<Mapping>& out = state.slots[o];
+        if (out.empty()) continue;
+        std::vector<Mapping> mappings;
+        if (!state.spare.empty()) {
+          mappings = std::move(state.spare.back());
+          state.spare.pop_back();
+        }
+        mappings.assign(std::make_move_iterator(out.begin()),
+                        std::make_move_iterator(out.end()));
+        out.clear();
+        hits->push_back(ShardHit{o, d, std::move(mappings)});
+      }
     }
+    step.Publish(counted);
     matched[s] = shard_matched;
   };
   auto tally = [&](size_t s) {
@@ -265,7 +341,22 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
 
   if (results != nullptr) {
     pool_.Run(shards.size(), extract);
-    for (size_t s = 0; s < shards.size(); ++s) tally(s);
+    // Join: each output's hits are its shards' hits in shard order, so in
+    // ascending document order.
+    for (size_t o = 0; o < outputs; ++o) {
+      results[o].per_doc.num_docs_ = source.num_docs();
+      results[o].per_doc.hits_.clear();
+      results[o].total_mappings = 0;
+      results[o].shards = shards.size();
+    }
+    for (size_t s = 0; s < shards.size(); ++s) {
+      tally(s);
+      for (ShardHit& hit : shard_hits_[s])
+        results[hit.output].per_doc.hits_.push_back(
+            HitList::Hit{hit.doc, std::move(hit.mappings)});
+      shard_hits_[s].clear();
+    }
+    for (size_t o = 0; o < outputs; ++o) results[o].per_doc.Index();
     return stats;
   }
 

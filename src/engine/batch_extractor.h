@@ -8,8 +8,8 @@
 //             streamed to a consumer in corpus order.
 // The documents are cut into byte-balanced shards (≈ oversubscription ×
 // threads of them, so a thread that finishes early claims the next shard
-// and skew evens out); each thread extracts its shard's documents into
-// slots fixed by document position. Output is
+// and skew evens out); each thread extracts its shard's documents in
+// corpus order, and shards are joined in corpus order. Output is
 // therefore deterministic and independent of the thread count:
 // per_doc[i] is the sorted ⟦γ⟧_{d_i}.
 #ifndef SPANNERS_ENGINE_BATCH_EXTRACTOR_H_
@@ -42,14 +42,73 @@ struct BatchOptions {
   size_t min_docs_per_shard = 16;
 };
 
+/// One output's mappings over a call's documents, sized by its hits. A
+/// spanner's output on a document is a set of (possibly partial)
+/// mappings, and under a selective query nearly every set is empty, so
+/// only the documents that have mappings are stored: hits() holds
+/// (document, sorted mappings) in ascending document order. Beside them,
+/// one bit per document with a running popcount rank answers (*this)[i]
+/// in O(1) — a constant number of loads, so a caller may visit every
+/// index. That bit index is built only when the list has hits; a
+/// document without mappings reads one shared empty vector.
+class HitList {
+ public:
+  struct Hit {
+    size_t doc;
+    std::vector<Mapping> mappings;  // sorted, never empty
+  };
+
+  /// The call's documents: indices 0 .. size() − 1.
+  size_t size() const { return num_docs_; }
+  bool empty() const { return num_docs_ == 0; }
+
+  /// Sorted mappings of document i < size().
+  const std::vector<Mapping>& operator[](size_t i) const {
+    if (blocks_.empty()) return kNoMappings;
+    const Block& block = blocks_[i >> 6];
+    const uint64_t bit = uint64_t{1} << (i & 63);
+    if ((block.bits & bit) == 0) return kNoMappings;
+    const int below = __builtin_popcountll(block.bits & (bit - 1));
+    return hits_[block.rank + static_cast<size_t>(below)].mappings;
+  }
+
+  /// The documents that have mappings, ascending.
+  const std::vector<Hit>& hits() const { return hits_; }
+
+ private:
+  friend class BatchExtractor;
+
+  // Documents 64w .. 64w + 63: bit k marks a hit on document 64w + k, and
+  // `rank` counts the hits before the block.
+  struct Block {
+    uint64_t bits = 0;
+    size_t rank = 0;
+  };
+
+  /// Rebuilds blocks_ over hits_ and num_docs_.
+  void Index();
+
+  static const std::vector<Mapping> kNoMappings;
+  size_t num_docs_ = 0;
+  std::vector<Hit> hits_;
+  std::vector<Block> blocks_;  // empty when hits_ is
+};
+
+/// A materializing call's output for one extractor (or one fleet plan).
+/// A reused result (ExtractInto, ExtractMultiInto) recycles only its
+/// previous hits — their mappings' storage goes back to the extracting
+/// threads' pools — so what a call costs and holds grows with its hits,
+/// not with corpus size × outputs.
 struct BatchResult {
-  /// per_doc[i]: sorted mappings of corpus document i.
-  std::vector<std::vector<Mapping>> per_doc;
+  /// per_doc[i]: sorted mappings of document i (corpus position, or store
+  /// document id for an indexed call); per_doc.size() is the document
+  /// count.
+  HitList per_doc;
   uint64_t total_mappings = 0;
   size_t shards = 0;
 
   /// Documents with at least one mapping.
-  size_t MatchedDocuments() const;
+  size_t MatchedDocuments() const { return per_doc.hits().size(); }
 };
 
 /// One ExtractMulti call's output: per_plan[p] is byte-identical to the
@@ -58,6 +117,10 @@ struct MultiBatchResult {
   std::vector<BatchResult> per_plan;
   uint64_t total_mappings = 0;  // across every plan
   size_t shards = 0;
+
+  /// Documents with a mapping under at least one plan, ascending: the
+  /// plans' hit lists merged in document order.
+  std::vector<size_t> HitDocuments() const;
 };
 
 /// Accounting of one ExtractIndexed{,Multi} call: how much the posting
@@ -107,19 +170,23 @@ class BatchExtractor {
   /// repeatedly (the pool is reused across batches — each thread's
   /// extraction arenas and mapping pool are Reset()/recycled between
   /// documents, never freed, so steady-state batches perform no evaluator
-  /// heap allocation). The extractor and corpus must outlive the call
+  /// heap allocation). Each thread extracts a document into its own
+  /// scratch slot per output and moves only non-empty slots' mappings
+  /// into the result's hits. The extractor and corpus must outlive the call
   /// (they are borrowed, not copied). Not safe to call concurrently on the
   /// same BatchExtractor: the per-thread scratch is reused across calls.
   BatchResult Extract(const DocumentExtractor& extractor,
                       const Corpus& corpus);
 
-  /// Like Extract but refills a caller-owned result, recycling the
-  /// previous batch's per-document vectors and pooled mapping storage
-  /// through the per-thread scratch. Under repeated batches (the serving
-  /// loop), steady-state pattern plans allocate nothing at all — arenas,
-  /// result slots and mapping entry vectors have all reached their
-  /// high-water marks — and algebra queries keep only small per-document
-  /// operator state (e.g. the join's build-side vector).
+  /// Like Extract but refills a caller-owned result. Only the previous
+  /// batch's hits are recycled, each by the thread extracting its
+  /// document's shard: the mappings' storage returns to that thread's
+  /// pool, and the vectors hold the thread's next hits.
+  /// Under repeated batches (the serving loop), steady-state pattern plans
+  /// allocate nothing at all — arenas, hit vectors and mapping entry
+  /// vectors have all reached their high-water marks — and algebra
+  /// queries keep only small per-document operator state (e.g. the join's
+  /// build-side vector).
   void ExtractInto(const DocumentExtractor& extractor, const Corpus& corpus,
                    BatchResult* result);
 
@@ -161,8 +228,8 @@ class BatchExtractor {
                                 const Corpus& corpus);
 
   /// Like ExtractMulti but refills a caller-owned result, recycling the
-  /// previous batch's vectors (the serving-loop steady state allocates
-  /// nothing).
+  /// previous batch's hits as ExtractInto does (the serving-loop steady
+  /// state allocates nothing).
   void ExtractMultiInto(const MultiQueryExtractor& fleet,
                         const Corpus& corpus, MultiBatchResult* result);
 
@@ -186,9 +253,11 @@ class BatchExtractor {
   /// Index-accelerated Extract over a persisted segment: the plan's
   /// prefilter requirement compiles to posting-list intersections
   /// (NgramIndex::Candidates) and ONLY candidate documents are
-  /// materialized out of the mapping and extracted — non-candidates keep
-  /// their (provably correct) empty per_doc slots without ever being
-  /// touched. The result is byte-identical, for every thread count, to
+  /// materialized out of the mapping and extracted — non-candidates
+  /// (provably without mappings) are never touched, and the result holds
+  /// only the candidates' hits. per_doc spans every store document, so
+  /// per_doc[id] reads document id. The result is byte-identical, for
+  /// every thread count, to
   /// Extract(plan, store.ReadAll()): candidates are a superset of the
   /// matching documents and every survivor still runs the full gate
   /// cascade. `index` may be null (or unable to narrow the plan), in
@@ -213,9 +282,10 @@ class BatchExtractor {
  private:
   /// The one shard driver behind every Extract* call (batch_extractor.cc):
   /// `source` yields the documents and `step` extracts one into its output
-  /// slots. The sink is `results` (one per output, refilled in place; one
-  /// ThreadPool::Run over every shard) or, when that is null, `consumer`
-  /// (per-shard slices, one Run per window, handed over in corpus order).
+  /// slots. The sink is `results` (one per output, refilled in place from
+  /// the shards' hits; one ThreadPool::Run over every shard) or, when that
+  /// is null, `consumer` (per-shard slices, one Run per window, handed
+  /// over in corpus order).
   template <typename Source, typename Step>
   StreamStats Drive(const Source& source, const Step& step,
                     BatchResult* results, const MultiShardConsumer* consumer);
@@ -224,13 +294,36 @@ class BatchExtractor {
   struct ExtractorStep;
   struct FleetStep;
 
+  // What one pool thread keeps across documents and calls.
+  struct ThreadState {
+    PlanScratch scratch;  // arenas, sort buffer, mapping pool
+    // The materializing sink's slots, one per output, and their addresses
+    // as the step takes them. A document is extracted here and its
+    // non-empty slots move to the shard's hits, so every slot is empty
+    // between documents.
+    std::vector<std::vector<Mapping>> slots;
+    std::vector<std::vector<Mapping>*> slot_ptrs;
+    // A reused result's emptied hit vectors: the next hits' mappings move
+    // into them, so a steady state allocates none.
+    std::vector<std::vector<Mapping>> spare;
+  };
+  // One shard's hit of output `output` on document `doc`.
+  struct ShardHit {
+    size_t output;
+    size_t doc;
+    std::vector<Mapping> mappings;
+  };
+
   BatchOptions options_;
   ThreadPool pool_;
   CancelToken* cancel_ = nullptr;
-  // One scratch (arena + sort buffer) per pool thread, the caller's
-  // included, addressed by ThreadPool::Run's thread index; unique_ptr
-  // keeps addresses stable.
-  std::vector<std::unique_ptr<PlanScratch>> thread_scratch_;
+  // One state per pool thread, the caller's included, addressed by
+  // ThreadPool::Run's thread index; unique_ptr keeps addresses stable.
+  std::vector<std::unique_ptr<ThreadState>> threads_;
+  // Per shard of the current materializing call, its hits in document
+  // order (each document's outputs ascending); cleared after the join,
+  // kept for their capacity.
+  std::vector<std::vector<ShardHit>> shard_hits_;
 };
 
 }  // namespace engine

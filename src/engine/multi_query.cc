@@ -98,13 +98,15 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
     const {
   for (size_t p = 0; p < plans_.size(); ++p)
     if (!out[p]->empty()) scratch->pool.RecycleAll(out[p]);
-  ExtractSurvivorsInto(doc, scratch, out, 0, nullptr);
+  uint64_t counted = 0;
+  ExtractSurvivorsInto(doc, scratch, out, 0, nullptr, &counted);
+  CountDocuments(counted);
 }
 
 uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
     const Document& doc, PlanScratch* scratch,
     std::vector<Mapping>* const* slots, size_t doc_slot,
-    uint64_t* plan_mappings) const {
+    uint64_t* plan_mappings, uint64_t* counted) const {
   const std::string_view text = doc.text();
   const size_t num_plans = plans_.size();
   CancelToken* cancel = scratch->cancel;
@@ -148,10 +150,10 @@ uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
       bits.back() = (uint64_t{1} << (num_plans % 64)) - 1;
   }
 
-  // The one per-document write: plan_stats() derives every gated plan's
-  // shared-pass rejections from this count, so a rejected (plan, doc)
-  // pair is never touched below.
-  documents_->fetch_add(1, std::memory_order_relaxed);
+  // The one per-document count, which the caller publishes: plan_stats()
+  // derives every gated plan's shared-pass rejections from it, so a
+  // rejected (plan, doc) pair is never touched below.
+  ++*counted;
   if (obs::Enabled() && ac_rejected > 0) {
     Metrics().documents->Add(ac_rejected);
     Metrics().ac_gate_skipped->Add(ac_rejected);

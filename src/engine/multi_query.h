@@ -85,6 +85,7 @@ class MultiQueryExtractor {
   /// sorted ⟦γ_p⟧_doc — byte-identical to plans_[p]->ExtractSortedInto.
   /// `out` must hold num_plans() slots. One scratch per worker thread;
   /// its multi_clause_bits vector is the AC pass's satisfied-clause set.
+  /// Counts the document in the fleet's shared total itself.
   void ExtractAllSortedInto(const Document& doc, PlanScratch* scratch,
                             std::vector<Mapping>** out) const;
 
@@ -107,25 +108,33 @@ class MultiQueryExtractor {
   std::string ToString() const;
 
  private:
-  // The batch driver empties its result slots itself (a shard's stale
-  // slots in one sequential sweep) and then takes the survivor path.
+  // BatchExtractor extracts each document into its thread's scratch
+  // slots, which stay empty between documents (it moves a document's
+  // non-empty ones into the shard's hits), so it takes the survivor path
+  // with no sweep; and it counts a shard's documents in one write.
   friend class BatchExtractor;
 
   // The survivor path behind ExtractAllSortedInto. Plan p's result slot
   // is slots[p][doc_slot]; every slot must be empty on entry, and only the
   // plans that reach an evaluator write theirs. Adds each such plan's
-  // mapping count to plan_mappings[p] when that is non-null, and returns
-  // the document's mappings summed over every plan.
+  // mapping count to plan_mappings[p] when that is non-null, adds 1 to
+  // *counted once the shared pass completes (the caller publishes the
+  // total with CountDocuments), and returns the document's mappings
+  // summed over every plan.
   uint64_t ExtractSurvivorsInto(const Document& doc, PlanScratch* scratch,
                                 std::vector<Mapping>* const* slots,
-                                size_t doc_slot,
-                                uint64_t* plan_mappings) const;
+                                size_t doc_slot, uint64_t* plan_mappings,
+                                uint64_t* counted) const;
+  // Adds `n` documents to the shared count.
+  void CountDocuments(uint64_t n) const {
+    if (n > 0) documents_->fetch_add(n, std::memory_order_relaxed);
+  }
 
-  // Cost model: a document costs the shared scan, one relaxed atomic
-  // (`documents_`) and a bit-scan of one word per 64 plans; only the
-  // survivors of the shared pass touch these per-plan counters. The shared
-  // pass's rejections are never written anywhere: plan_stats() derives
-  // them from `documents_`.
+  // Cost model: a document costs the shared scan and a bit-scan of one
+  // word per 64 plans, and a shard one relaxed atomic (`documents_`); only
+  // the survivors of the shared pass touch these per-plan counters. The
+  // shared pass's rejections are never written anywhere: plan_stats()
+  // derives them from `documents_`.
   struct PlanCounters {
     std::atomic<uint64_t> extracted{0};
     std::atomic<uint64_t> mappings{0};
@@ -153,7 +162,8 @@ class MultiQueryExtractor {
   bool gating_enabled_ = true;
   // unique_ptr keeps the extractor movable despite the atomics.
   std::unique_ptr<PlanCounters[]> counters_;
-  // Documents offered to the fleet whose shared pass completed.
+  // Documents offered to the fleet whose shared pass completed, published
+  // once per batch shard (and per ExtractAllSortedInto call).
   std::unique_ptr<std::atomic<uint64_t>> documents_;
 };
 

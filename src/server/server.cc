@@ -1071,11 +1071,8 @@ void Server::ExecuteExtractBatch(const WorkItem& item) {
     // per-plan stats count every request the session makes.
     const engine::MultiBatchResult result =
         batch_.ExtractIndexedMulti(fleet, *store_, index, &index_stats);
-    for (size_t i = 0; i < store_->num_docs() && !rows.stopped(); ++i) {
-      bool matched = false;
-      for (size_t p = 0; p < result.per_plan.size(); ++p)
-        matched = matched || !result.per_plan[p].per_doc[i].empty();
-      if (!matched) continue;
+    for (const size_t i : result.HitDocuments()) {
+      if (rows.stopped()) break;
       ++matched_docs;
       rows.AddDocument(i, store_->MaterializeDoc(i),
                        [&](size_t p) -> const std::vector<Mapping>& {

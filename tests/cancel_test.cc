@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "dense_result.h"
 #include "automata/enumerate.h"
 #include "automata/fpt.h"
 #include "automata/matcher.h"
@@ -376,7 +377,7 @@ struct EntryRun {
 };
 
 EntryRun FromBatch(const BatchResult& r) {
-  return EntryRun{r.per_doc, r.total_mappings};
+  return EntryRun{engine::Dense(r.per_doc), r.total_mappings};
 }
 
 EntryRun FromMulti(const engine::MultiBatchResult& r, size_t num_docs) {

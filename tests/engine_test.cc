@@ -15,6 +15,7 @@
 #include <thread>
 #include <utility>
 
+#include "dense_result.h"
 #include "engine/engine.h"
 #include "rgx/parser.h"
 #include "workload/generators.h"
@@ -359,7 +360,7 @@ TEST(BatchExtractorTest, MatchesPerDocumentExtractionForEveryThreadCount) {
     BatchExtractor extractor(bo);
     BatchResult result = extractor.Extract(plan, corpus);
     ASSERT_EQ(result.per_doc.size(), corpus.size());
-    EXPECT_EQ(result.per_doc, expected) << "threads=" << threads;
+    EXPECT_EQ(Dense(result.per_doc), expected) << "threads=" << threads;
   }
 }
 
@@ -492,7 +493,8 @@ TEST(BatchExtractorTest, ExtractIntoReuseMatchesFreshExtraction) {
         << "threads=" << threads;
     extractor.ExtractInto(plan, second, &reused);
     const BatchResult fresh_result = extractor.Extract(plan, second);
-    EXPECT_EQ(reused.per_doc, want.per_doc) << "threads=" << threads;
+    EXPECT_EQ(Dense(reused.per_doc), Dense(want.per_doc))
+        << "threads=" << threads;
     EXPECT_EQ(reused.total_mappings, want.total_mappings)
         << "threads=" << threads;
     EXPECT_EQ(reused.shards, fresh_result.shards) << "threads=" << threads;
@@ -577,7 +579,7 @@ TEST(GateTest, GatedAndUngatedResultsIdenticalAcrossThreadCounts) {
       BatchExtractor extractor(bo);
       BatchResult got = extractor.Extract(gated, corpus);
       BatchResult want = extractor.Extract(plain, corpus);
-      ASSERT_EQ(got.per_doc, want.per_doc)
+      ASSERT_EQ(Dense(got.per_doc), Dense(want.per_doc))
           << "round " << round << " threads " << threads;
     }
   }
@@ -604,7 +606,7 @@ TEST(GateTest, NeedleCorpusIsGateSkippedButResultIdentical) {
   BatchExtractor extractor(bo);
   BatchResult got = extractor.Extract(gated, corpus);
   BatchResult want = extractor.Extract(plain, corpus);
-  EXPECT_EQ(got.per_doc, want.per_doc);
+  EXPECT_EQ(Dense(got.per_doc), Dense(want.per_doc));
   EXPECT_GT(got.MatchedDocuments(), 0u);
 
   PlanStats stats = gated.stats();
@@ -679,7 +681,7 @@ TEST(BatchExtractorTest, ExtractStreamMatchesExtractAndIsInOrder) {
           ++calls;
         });
     ASSERT_EQ(streamed.size(), corpus.size());
-    EXPECT_EQ(streamed, want.per_doc) << "threads=" << threads;
+    EXPECT_EQ(streamed, Dense(want.per_doc)) << "threads=" << threads;
     EXPECT_EQ(calls, stats.shards);
     EXPECT_EQ(stats.total_mappings, want.total_mappings);
     EXPECT_EQ(stats.matched_documents, want.MatchedDocuments());
@@ -767,7 +769,7 @@ TEST(BatchExtractorTest, StreamConsumerThrowIsSafe) {
       [&](size_t, size_t, std::vector<std::vector<Mapping>>& per_doc) {
         for (auto& ms : per_doc) streamed.push_back(std::move(ms));
       });
-  EXPECT_EQ(streamed, want.per_doc);
+  EXPECT_EQ(streamed, Dense(want.per_doc));
 }
 
 TEST(BatchExtractorTest, MultiStreamConsumerThrowIsSafe) {
@@ -795,7 +797,7 @@ TEST(BatchExtractorTest, MultiStreamConsumerThrowIsSafe) {
           for (auto& ms : per_plan[p]) streamed[p].push_back(std::move(ms));
       });
   for (size_t p = 0; p < fleet.num_plans(); ++p)
-    EXPECT_EQ(streamed[p], want.per_plan[p].per_doc) << "plan " << p;
+    EXPECT_EQ(streamed[p], Dense(want.per_plan[p].per_doc)) << "plan " << p;
 }
 
 // With default options at 2 threads the corpus cuts into 8 shards, but
@@ -881,8 +883,8 @@ TEST(BatchExtractorTest, CallerExtracts) {
   one.num_threads = 1;
   BatchExtractor single(one);
   const ThreadRecordingExtractor batch(plan);
-  EXPECT_EQ(single.Extract(batch, corpus).per_doc,
-            single.Extract(plan, corpus).per_doc);
+  EXPECT_EQ(Dense(single.Extract(batch, corpus).per_doc),
+            Dense(single.Extract(plan, corpus).per_doc));
   EXPECT_EQ(batch.threads(), caller);
   const ThreadRecordingExtractor stream(plan);
   size_t streamed = 0;

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "dense_result.h"
 #include "engine/engine.h"
 #include "storage/ngram_index.h"
 #include "storage/segment.h"
@@ -82,7 +83,7 @@ TEST(IndexedExtractTest, ByteIdenticalToFullScanAcrossThreads) {
     IndexedStats stats;
     BatchResult got = extractor.ExtractIndexed(plan, *persisted->store,
                                                &*persisted->index, &stats);
-    EXPECT_EQ(got.per_doc, want.per_doc) << "threads " << threads;
+    EXPECT_EQ(Dense(got.per_doc), Dense(want.per_doc)) << "threads " << threads;
     EXPECT_EQ(got.total_mappings, want.total_mappings);
     EXPECT_TRUE(stats.narrowed);
     EXPECT_LT(stats.candidate_docs, stats.corpus_docs);
@@ -108,7 +109,7 @@ TEST(IndexedExtractTest, NullIndexFullScanOverStoreIsIdentical) {
     IndexedStats stats;
     BatchResult got = BatchExtractor(bo).ExtractIndexed(
         plan, *persisted->store, /*index=*/nullptr, &stats);
-    EXPECT_EQ(got.per_doc, want.per_doc) << "threads " << threads;
+    EXPECT_EQ(Dense(got.per_doc), Dense(want.per_doc)) << "threads " << threads;
     EXPECT_FALSE(stats.narrowed);
     EXPECT_EQ(stats.candidate_docs, corpus.size());
   }
@@ -129,7 +130,7 @@ TEST(IndexedExtractTest, UnnarrowablePlanScansEverythingIdentically) {
   IndexedStats stats;
   BatchResult got = BatchExtractor().ExtractIndexed(
       plan, *persisted->store, &*persisted->index, &stats);
-  EXPECT_EQ(got.per_doc, want.per_doc);
+  EXPECT_EQ(Dense(got.per_doc), Dense(want.per_doc));
   EXPECT_FALSE(stats.narrowed);
   EXPECT_EQ(stats.candidate_docs, corpus.size());
 }
@@ -163,7 +164,8 @@ TEST(IndexedExtractTest, FleetByteIdenticalToInMemoryAcrossThreads) {
         fleet, *persisted->store, &*persisted->index, &stats);
     ASSERT_EQ(got.per_plan.size(), want.per_plan.size());
     for (size_t p = 0; p < want.per_plan.size(); ++p)
-      EXPECT_EQ(got.per_plan[p].per_doc, want.per_plan[p].per_doc)
+      EXPECT_EQ(Dense(got.per_plan[p].per_doc),
+                Dense(want.per_plan[p].per_doc))
           << "plan " << p << " threads " << threads;
     EXPECT_EQ(got.total_mappings, want.total_mappings);
     // The union of 10 plans' candidates still narrows a 5%-match corpus.
@@ -212,7 +214,7 @@ TEST(IndexedExtractTest, ResultsRemainValidAfterStoreAndIndexClose) {
         matched_docs.emplace_back(i, persisted->store->MaterializeDoc(i));
   }  // store unmapped, index destroyed, files deleted
 
-  EXPECT_EQ(got.per_doc, want.per_doc);
+  EXPECT_EQ(Dense(got.per_doc), Dense(want.per_doc));
   ASSERT_FALSE(matched_docs.empty());
   for (const auto& [doc_id, doc] : matched_docs) {
     EXPECT_EQ(doc.text(), corpus[doc_id].text());

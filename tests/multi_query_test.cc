@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "dense_result.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
 
@@ -49,7 +50,7 @@ TEST(MultiQueryTest, FleetByteIdenticalToPerPlanExtractionAcrossThreads) {
     BatchExtractor extractor(bo);
     for (const std::string& p : generated.patterns) {
       ExtractionPlan alone = ExtractionPlan::Compile(p).ValueOrDie();
-      expected.push_back(extractor.Extract(alone, corpus).per_doc);
+      expected.push_back(Dense(extractor.Extract(alone, corpus).per_doc));
     }
   }
 
@@ -61,7 +62,7 @@ TEST(MultiQueryTest, FleetByteIdenticalToPerPlanExtractionAcrossThreads) {
     MultiBatchResult result = extractor.ExtractMulti(fleet, corpus);
     ASSERT_EQ(result.per_plan.size(), plans.size());
     for (size_t p = 0; p < plans.size(); ++p)
-      EXPECT_EQ(result.per_plan[p].per_doc, expected[p])
+      EXPECT_EQ(Dense(result.per_plan[p].per_doc), expected[p])
           << "plan " << p << " threads " << threads;
   }
 }
@@ -103,7 +104,8 @@ TEST(MultiQueryTest, RandomPlansGatedFleetMatchesUngatedFleet) {
       MultiBatchResult got = extractor.ExtractMulti(gated, corpus);
       MultiBatchResult want = extractor.ExtractMulti(ungated, corpus);
       for (size_t p = 0; p < plans.size(); ++p)
-        ASSERT_EQ(got.per_plan[p].per_doc, want.per_plan[p].per_doc)
+        ASSERT_EQ(Dense(got.per_plan[p].per_doc),
+                  Dense(want.per_plan[p].per_doc))
             << "round " << round << " plan " << p << " threads " << threads;
     }
   }
@@ -145,7 +147,7 @@ TEST(MultiQueryTest, ExtractMultiStreamMatchesExtractMultiInOrder) {
     EXPECT_EQ(calls, stats.shards);
     EXPECT_EQ(stats.total_mappings, want.total_mappings);
     for (size_t p = 0; p < fleet.num_plans(); ++p)
-      EXPECT_EQ(streamed[p], want.per_plan[p].per_doc)
+      EXPECT_EQ(streamed[p], Dense(want.per_plan[p].per_doc))
           << "plan " << p << " threads " << threads;
   }
 }
@@ -284,7 +286,8 @@ TEST(MultiQueryTest, ExtractMultiIntoReuseMatchesFreshExtraction) {
     const MultiBatchResult fresh_result = extractor.ExtractMulti(fleet, second);
     EXPECT_EQ(reused.shards, fresh_result.shards) << "threads " << threads;
     for (size_t p = 0; p < want.per_plan.size(); ++p) {
-      EXPECT_EQ(reused.per_plan[p].per_doc, want.per_plan[p].per_doc)
+      EXPECT_EQ(Dense(reused.per_plan[p].per_doc),
+                Dense(want.per_plan[p].per_doc))
           << "plan " << p << " threads " << threads;
       EXPECT_EQ(reused.per_plan[p].total_mappings,
                 want.per_plan[p].total_mappings)
@@ -420,7 +423,8 @@ TEST(MultiQueryTest, CachedFleetInterleavedInsertEvictStaysIdentical) {
     MultiBatchResult want_r = extractor.ExtractMulti(want, corpus);
     ASSERT_EQ(got_r.per_plan.size(), want_r.per_plan.size());
     for (size_t p = 0; p < want_r.per_plan.size(); ++p)
-      ASSERT_EQ(got_r.per_plan[p].per_doc, want_r.per_plan[p].per_doc)
+      ASSERT_EQ(Dense(got_r.per_plan[p].per_doc),
+                Dense(want_r.per_plan[p].per_doc))
           << "step " << step << " plan " << p;
 
     // Sanity on the generation contract itself: membership changed on

@@ -762,11 +762,7 @@ int main(int argc, char** argv) {
     MultiBatchResult result =
         batch.ExtractIndexedMulti(fleet, *store, &*index, &index_stats);
     BatchExtractor::StreamStats run_stats;
-    for (size_t i = 0; i < store->num_docs(); ++i) {
-      bool matched = false;
-      for (size_t p = 0; p < result.per_plan.size(); ++p)
-        matched = matched || !result.per_plan[p].per_doc[i].empty();
-      if (!matched) continue;
+    for (const size_t i : result.HitDocuments()) {
       ++run_stats.matched_documents;
       const Document doc = store->MaterializeDoc(i);
       for (size_t p = 0; p < result.per_plan.size(); ++p) {
