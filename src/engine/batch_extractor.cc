@@ -180,20 +180,19 @@ BatchExtractor::BatchExtractor(BatchOptions options)
 }
 
 // Step: extracts one document into its outputs' empty slots — output o's
-// into slots[o][k] — adds each output's mappings to sums[o] and any
-// document it counts to *counted, and returns the document's mappings over
-// every output. Publish(counted) runs once per shard, after its last
-// document.
+// into *slots[o] — adds each output's mappings to sums[o] and any document
+// it counts to *counted, and returns the document's mappings over every
+// output. Publish(counted) runs once per shard, after its last document.
 
 struct BatchExtractor::ExtractorStep {  // one output: the sorted ⟦γ⟧_d
   const DocumentExtractor& extractor;
   size_t outputs() const { return 1; }
   uint64_t operator()(const Document& doc, PlanScratch* scratch,
-                      std::vector<Mapping>* const* slots, size_t k,
-                      uint64_t* sums, uint64_t* /*counted*/) const {
-    extractor.ExtractSortedInto(doc, scratch, &slots[0][k]);
-    *sums += slots[0][k].size();
-    return slots[0][k].size();
+                      std::vector<Mapping>* const* slots, uint64_t* sums,
+                      uint64_t* /*counted*/) const {
+    extractor.ExtractSortedInto(doc, scratch, slots[0]);
+    *sums += slots[0]->size();
+    return slots[0]->size();
   }
   void Publish(uint64_t /*counted*/) const {}
 };
@@ -202,9 +201,9 @@ struct BatchExtractor::FleetStep {  // one output per plan: survivors only
   const MultiQueryExtractor& fleet;
   size_t outputs() const { return fleet.num_plans(); }
   uint64_t operator()(const Document& doc, PlanScratch* scratch,
-                      std::vector<Mapping>* const* slots, size_t k,
-                      uint64_t* sums, uint64_t* counted) const {
-    return fleet.ExtractSurvivorsInto(doc, scratch, slots, k, sums, counted);
+                      std::vector<Mapping>* const* slots, uint64_t* sums,
+                      uint64_t* counted) const {
+    return fleet.ExtractSurvivorsInto(doc, scratch, slots, sums, counted);
   }
   // The fleet's shared document count takes one write per shard.
   void Publish(uint64_t counted) const { fleet.CountDocuments(counted); }
@@ -233,40 +232,20 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   const size_t row = (outputs + 7) & ~size_t{7};
   std::vector<uint64_t> sums(shards.size() * row, 0);
   std::vector<size_t> matched(shards.size(), 0);
+  if (shard_hits_.size() < shards.size()) shard_hits_.resize(shards.size());
 
-  // The sink: the caller's results, one per output, joined after the run
-  // from each shard's hits; or, streaming, per-shard slices — slice[o][i]
-  // holds position shard.begin + i of output o — that each shard's task
-  // allocates itself (so in its thread's malloc arena) and the calling
-  // thread hands to the consumer in order.
-  if (results != nullptr && shard_hits_.size() < shards.size())
-    shard_hits_.resize(shards.size());
-  struct Slice {
-    std::vector<std::vector<std::vector<Mapping>>> per_output;
-    std::vector<std::vector<Mapping>*> slots;
-  };
-  std::vector<Slice> slices(results == nullptr ? shards.size() : 0);
-
-  // The one task body. Each shard writes only its own hits or slice and its
-  // own row of sums, so nothing needs a lock. Every thread extracts through
-  // its own arena-backed scratch; output order is fixed by document order +
-  // Mapping sort, so results are byte-identical for any thread count.
+  // The one task body and the one sink: each document is extracted into
+  // this thread's slots, and a matched document's non-empty slots move
+  // into the shard's hits. Each shard writes only its own hits and its own
+  // row of sums, so nothing needs a lock. Every thread extracts through
+  // its own arena-backed scratch; output order is fixed by document order
+  // + Mapping sort, so results are byte-identical for any thread count.
   auto extract = [&](size_t s, size_t thread) {
     const Shard& shard = shards[s];
     ThreadState& state = *threads_[thread];
     PlanScratch& scratch = state.scratch;
     scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
-    std::vector<Mapping>* const* slots;
-    std::vector<ShardHit>* hits = nullptr;
-    if (results == nullptr) {
-      Slice& slice = slices[s];
-      slice.per_output.resize(outputs);
-      for (std::vector<std::vector<Mapping>>& out : slice.per_output) {
-        out.resize(shard.size());
-        slice.slots.push_back(out.data());
-      }
-      slots = slice.slots.data();
-    } else {
+    if (results != nullptr) {
       // A reused result's hits on this shard's documents — from its first
       // up to the next shard's first — come back to this thread: mappings
       // to the pool, vectors to the spares, last first, so that hits on
@@ -289,29 +268,25 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
             state.spare.push_back(std::move(it->mappings));
         }
       }
-      if (state.slots.size() < outputs) {
-        state.slots.resize(outputs);
-        state.slot_ptrs.clear();
-        for (std::vector<Mapping>& slot : state.slots)
-          state.slot_ptrs.push_back(&slot);
-      }
-      slots = state.slot_ptrs.data();
-      hits = &shard_hits_[s];
-      hits->clear();
     }
+    if (state.slots.size() < outputs) {
+      state.slots.resize(outputs);
+      state.slot_ptrs.clear();
+      for (std::vector<Mapping>& slot : state.slots)
+        state.slot_ptrs.push_back(&slot);
+    }
+    std::vector<ShardHit>& hits = shard_hits_[s];
+    hits.clear();
     uint64_t* shard_sums = &sums[s * row];
     size_t shard_matched = 0;
     uint64_t counted = 0;
     for (size_t j = shard.begin; j < shard.end; ++j) {
       if (cancel_ != nullptr && cancel_->tripped()) break;
-      const size_t d = source.id(j);
-      obs::ObsSpan span(DocHistogram(), "doc", d);
-      const size_t slot = results != nullptr ? 0 : j - shard.begin;
-      if (step(source.doc(j), &scratch, slots, slot, shard_sums, &counted) ==
-          0)
+      obs::ObsSpan span(DocHistogram(), "doc", source.id(j));
+      if (step(source.doc(j), &scratch, state.slot_ptrs.data(), shard_sums,
+               &counted) == 0)
         continue;
       ++shard_matched;
-      if (hits == nullptr) continue;
       // Only this document's non-empty slots move out, into a spare: the
       // slot keeps its capacity for the next document.
       for (size_t o = 0; o < outputs; ++o) {
@@ -325,17 +300,15 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
         mappings.assign(std::make_move_iterator(out.begin()),
                         std::make_move_iterator(out.end()));
         out.clear();
-        hits->push_back(ShardHit{o, d, std::move(mappings)});
+        hits.push_back(ShardHit{o, j, std::move(mappings)});
       }
     }
     step.Publish(counted);
     matched[s] = shard_matched;
   };
   auto tally = [&](size_t s) {
-    for (size_t o = 0; o < outputs; ++o) {
+    for (size_t o = 0; o < outputs; ++o)
       stats.total_mappings += sums[s * row + o];
-      if (results != nullptr) results[o].total_mappings += sums[s * row + o];
-    }
     stats.matched_documents += matched[s];
   };
 
@@ -351,9 +324,11 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
     }
     for (size_t s = 0; s < shards.size(); ++s) {
       tally(s);
+      for (size_t o = 0; o < outputs; ++o)
+        results[o].total_mappings += sums[s * row + o];
       for (ShardHit& hit : shard_hits_[s])
         results[hit.output].per_doc.hits_.push_back(
-            HitList::Hit{hit.doc, std::move(hit.mappings)});
+            HitList::Hit{source.id(hit.at), std::move(hit.mappings)});
       shard_hits_[s].clear();
     }
     for (size_t o = 0; o < outputs; ++o) results[o].per_doc.Index();
@@ -365,7 +340,18 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
   // consumer — strictly below the whole corpus whenever ShardByBytes can
   // cut more shards than the window, i.e. when shard_oversubscription ≥ 3.
   // No task runs while the consumer does, so a throwing consumer unwinds
-  // only this frame.
+  // only this frame. Each shard reaches the consumer through one slice:
+  // its hits move in, and after the consumer returns exactly those
+  // positions are emptied again, so the next shard finds every entry
+  // empty. The slice is sized for the widest shard once, at the first
+  // hand-off: it then lies above what the first window allocates and
+  // keeps (such as lazy-DFA states), so once freed it rejoins the heap's
+  // free top instead of leaving a hole below them (reserved before the
+  // window, fleet-scan's peak RSS read 76.8 rather than 66.4 MiB). Where
+  // malloc trims that top, each call faults the slice in again.
+  size_t widest = 0;
+  for (const Shard& shard : shards) widest = std::max(widest, shard.size());
+  std::vector<std::vector<std::vector<Mapping>>> slice(outputs);
   const size_t window = std::max<size_t>(1, pool_.num_threads() * 2);
   for (size_t begin = 0; begin < shards.size(); begin += window) {
     const size_t end = std::min(begin + window, shards.size());
@@ -374,10 +360,17 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
     });
     for (size_t s = begin; s < end; ++s) {
       tally(s);
-      (*consumer)(shards[s].begin, shards[s].end, slices[s].per_output);
-      // Release eagerly: streamed memory stays bounded even when one shard
-      // produced a huge result.
-      slices[s] = Slice();
+      const Shard& shard = shards[s];
+      for (std::vector<std::vector<Mapping>>& out : slice) {
+        out.reserve(widest);  // allocates at the first hand-off only
+        out.resize(shard.size());
+      }
+      for (ShardHit& hit : shard_hits_[s])
+        slice[hit.output][hit.at - shard.begin] = std::move(hit.mappings);
+      (*consumer)(shard.begin, shard.end, slice);
+      for (const ShardHit& hit : shard_hits_[s])
+        slice[hit.output][hit.at - shard.begin] = std::vector<Mapping>();
+      shard_hits_[s].clear();
     }
   }
   return stats;

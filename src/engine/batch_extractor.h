@@ -1,11 +1,11 @@
 // BatchExtractor: extracts a corpus on a fixed thread pool whose calling
 // thread extracts too.
-// Every entry point is one shard driver over three axes:
+// Every entry point is one Drive call over two axes:
 //   - source: a Corpus, or a SegmentStore's index candidates;
 //   - step:   one DocumentExtractor (a compiled pattern plan or a whole
-//             algebra query), or a MultiQueryExtractor fleet's plans;
-//   - sink:   the caller's per-document result slots, or per-shard slices
-//             streamed to a consumer in corpus order.
+//             algebra query), or a MultiQueryExtractor fleet's plans.
+// Its one sink is each shard's hits, which a materializing call joins
+// into its results and a stream hands to its consumer shard by shard.
 // The documents are cut into byte-balanced shards (≈ oversubscription ×
 // threads of them, so a thread that finishes early claims the next shard
 // and skew evens out); each thread extracts its shard's documents in
@@ -199,8 +199,9 @@ class BatchExtractor {
 
   /// Receives one completed shard: the sorted mappings of corpus documents
   /// [doc_begin, doc_end), with per_doc[i] belonging to document
-  /// doc_begin + i. The slice may be consumed destructively (moved from);
-  /// its storage is released after the call returns.
+  /// doc_begin + i. The slice is valid only during the call: its entries
+  /// may be moved from (not resized), and it is emptied and reused for the
+  /// next shard.
   using ShardConsumer = std::function<void(
       size_t doc_begin, size_t doc_end,
       std::vector<std::vector<Mapping>>& per_doc)>;
@@ -208,12 +209,14 @@ class BatchExtractor {
   /// Streamed variant of Extract: the shards are extracted a window of
   /// 2 × threads at a time, and after each window `consumer` is invoked
   /// once per shard of it, in corpus order, on the calling thread. So
-  /// output never materializes the whole BatchResult — peak memory is
-  /// bounded by the window instead of the corpus — and consumption does
-  /// not overlap extraction. The emitted stream is byte-identical for
-  /// every thread count: shard boundaries and per-document mapping order
-  /// do not depend on scheduling. A throwing consumer leaves no task
-  /// running. Same borrowing and non-reentrancy rules as Extract.
+  /// output never materializes the whole BatchResult — a stream holds one
+  /// window's hits plus one shard-wide slice, which the call allocates
+  /// once and the shards' hits move into one shard at a time — and
+  /// consumption does not overlap extraction. The emitted stream is
+  /// byte-identical for every thread count: shard boundaries and
+  /// per-document mapping order do not depend on scheduling. A throwing
+  /// consumer leaves no task running. Same borrowing and non-reentrancy
+  /// rules as Extract.
   StreamStats ExtractStream(const DocumentExtractor& extractor,
                             const Corpus& corpus,
                             const ShardConsumer& consumer);
@@ -234,9 +237,9 @@ class BatchExtractor {
                         const Corpus& corpus, MultiBatchResult* result);
 
   /// Receives one completed multi-query shard: per_plan[p][i - doc_begin]
-  /// is the sorted mapping set of corpus document i under plan p. The
-  /// slice may be consumed destructively; storage is released after the
-  /// call returns.
+  /// is the sorted mapping set of corpus document i under plan p. As with
+  /// ShardConsumer, the slice is valid only during the call, its entries
+  /// may be moved from, and it is reused for the next shard.
   using MultiShardConsumer = std::function<void(
       size_t doc_begin, size_t doc_end,
       std::vector<std::vector<std::vector<Mapping>>>& per_plan)>;
@@ -281,11 +284,12 @@ class BatchExtractor {
 
  private:
   /// The one shard driver behind every Extract* call (batch_extractor.cc):
-  /// `source` yields the documents and `step` extracts one into its output
-  /// slots. The sink is `results` (one per output, refilled in place from
-  /// the shards' hits; one ThreadPool::Run over every shard) or, when that
-  /// is null, `consumer` (per-shard slices, one Run per window, handed
-  /// over in corpus order).
+  /// `source` yields the documents and `step` extracts one into its
+  /// thread's slots. Every task moves its shard's hits out of those slots;
+  /// then either `results` (one per output, refilled in place; one
+  /// ThreadPool::Run over every shard) takes them, or, when that is null,
+  /// `consumer` gets them a window at a time (one Run per window), moved
+  /// into one reused slice per shard in corpus order.
   template <typename Source, typename Step>
   StreamStats Drive(const Source& source, const Step& step,
                     BatchResult* results, const MultiShardConsumer* consumer);
@@ -297,20 +301,21 @@ class BatchExtractor {
   // What one pool thread keeps across documents and calls.
   struct ThreadState {
     PlanScratch scratch;  // arenas, sort buffer, mapping pool
-    // The materializing sink's slots, one per output, and their addresses
-    // as the step takes them. A document is extracted here and its
-    // non-empty slots move to the shard's hits, so every slot is empty
-    // between documents.
+    // The one sink's slots, one per output, and their addresses as the
+    // step takes them. Every call extracts a document here and moves its
+    // non-empty slots to the shard's hits, so every slot is empty between
+    // documents.
     std::vector<std::vector<Mapping>> slots;
     std::vector<std::vector<Mapping>*> slot_ptrs;
     // A reused result's emptied hit vectors: the next hits' mappings move
     // into them, so a steady state allocates none.
     std::vector<std::vector<Mapping>> spare;
   };
-  // One shard's hit of output `output` on document `doc`.
+  // One shard's hit of output `output` on the call's document at
+  // position `at` (Source::id(at) is its document id).
   struct ShardHit {
     size_t output;
-    size_t doc;
+    size_t at;
     std::vector<Mapping> mappings;
   };
 
@@ -320,8 +325,8 @@ class BatchExtractor {
   // One state per pool thread, the caller's included, addressed by
   // ThreadPool::Run's thread index; unique_ptr keeps addresses stable.
   std::vector<std::unique_ptr<ThreadState>> threads_;
-  // Per shard of the current materializing call, its hits in document
-  // order (each document's outputs ascending); cleared after the join,
+  // Per shard of the current call, its hits in document order (each
+  // document's outputs ascending); cleared once joined or handed over,
   // kept for their capacity.
   std::vector<std::vector<ShardHit>> shard_hits_;
 };

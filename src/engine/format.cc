@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string_view>
 
+#include "engine/multi_query.h"
+
 namespace spanners {
 namespace engine {
 
@@ -154,6 +156,15 @@ void AppendFleetMappingRow(std::string* out, OutputFormat format,
     out->append(row, 1, row.size() - 1);
   }
   *out += '\n';
+}
+
+std::string FleetOutputHeader(const MultiQueryExtractor& fleet) {
+  if (fleet.num_plans() == 1) return TsvHeader(fleet.plan(0).vars()) + '\n';
+  std::vector<const VarSet*> vars_per_plan;
+  vars_per_plan.reserve(fleet.num_plans());
+  for (size_t p = 0; p < fleet.num_plans(); ++p)
+    vars_per_plan.push_back(&fleet.plan(p).vars());
+  return FleetTsvHeader(vars_per_plan);
 }
 
 bool CheckedWriter::Write(std::string_view s) {

@@ -12,11 +12,12 @@
 
 #include "core/document.h"
 #include "core/mapping.h"
-#include "core/mapping_sink.h"
 #include "core/variable.h"
 
 namespace spanners {
 namespace engine {
+
+class MultiQueryExtractor;
 
 enum class OutputFormat { kTsv, kJson };
 
@@ -67,6 +68,26 @@ void AppendFleetMappingRow(std::string* out, OutputFormat format,
                            const Mapping& m, const VarSet& vars,
                            const Document& doc);
 
+/// The TSV header block of a fleet's output, every line newline-
+/// terminated: a fleet of one prints as its plan alone (TsvHeader), a
+/// larger fleet as FleetTsvHeader. spanex and spanexd print a fleet
+/// through this and AppendFleetOutputRow, so their bytes agree for any
+/// fleet size.
+std::string FleetOutputHeader(const MultiQueryExtractor& fleet);
+
+/// One row of plan `plan_index` of a fleet of `num_plans`:
+/// AppendMappingRow for one plan, AppendFleetMappingRow for more.
+inline void AppendFleetOutputRow(std::string* out, OutputFormat format,
+                                 size_t num_plans, size_t plan_index,
+                                 size_t doc_index, const Mapping& m,
+                                 const VarSet& vars, const Document& doc) {
+  if (num_plans == 1) {
+    AppendMappingRow(out, format, doc_index, m, vars, doc);
+  } else {
+    AppendFleetMappingRow(out, format, plan_index, doc_index, m, vars, doc);
+  }
+}
+
 /// Error-checked writer over a C stream (stdout in the tools). Every
 /// Write/Flush result is checked, so a closed downstream pipe
 /// (`spanex ... | head`) surfaces as a clean failure instead of SIGPIPE
@@ -91,45 +112,6 @@ class CheckedWriter {
  private:
   std::FILE* stream_;
   int error_ = 0;
-};
-
-/// Formats mappings as they stream: each pushed mapping becomes one TSV
-/// or JSONL line appended to *out, and its storage is recycled into the
-/// pool. Terminates a push-based pipeline (Spanner::ExtractTo, the
-/// query operators) without materializing a mapping vector in between;
-/// rows arrive in the producer's (unsorted) order.
-class FormattingSink final : public MappingSink {
- public:
-  FormattingSink(OutputFormat format, size_t doc_index, const VarSet& vars,
-                 const Document& doc, std::string* out,
-                 MappingPool* pool = nullptr)
-      : format_(format),
-        doc_index_(doc_index),
-        vars_(vars),
-        doc_(doc),
-        out_(out),
-        pool_(pool) {}
-
-  bool Push(Mapping m) override {
-    *out_ += format_ == OutputFormat::kTsv
-                 ? ToTsvRow(doc_index_, m, vars_, doc_)
-                 : ToJsonRow(doc_index_, m, vars_, doc_);
-    *out_ += '\n';
-    ++rows_;
-    if (pool_ != nullptr) pool_->Recycle(std::move(m));
-    return true;
-  }
-  MappingPool* pool() override { return pool_; }
-  size_t rows() const { return rows_; }
-
- private:
-  OutputFormat format_;
-  size_t doc_index_;
-  const VarSet& vars_;
-  const Document& doc_;
-  std::string* out_;
-  MappingPool* pool_;
-  size_t rows_ = 0;
 };
 
 }  // namespace engine

@@ -99,14 +99,14 @@ void MultiQueryExtractor::ExtractAllSortedInto(const Document& doc,
   for (size_t p = 0; p < plans_.size(); ++p)
     if (!out[p]->empty()) scratch->pool.RecycleAll(out[p]);
   uint64_t counted = 0;
-  ExtractSurvivorsInto(doc, scratch, out, 0, nullptr, &counted);
+  ExtractSurvivorsInto(doc, scratch, out, nullptr, &counted);
   CountDocuments(counted);
 }
 
 uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
     const Document& doc, PlanScratch* scratch,
-    std::vector<Mapping>* const* slots, size_t doc_slot,
-    uint64_t* plan_mappings, uint64_t* counted) const {
+    std::vector<Mapping>* const* slots, uint64_t* plan_mappings,
+    uint64_t* counted) const {
   const std::string_view text = doc.text();
   const size_t num_plans = plans_.size();
   CancelToken* cancel = scratch->cancel;
@@ -167,7 +167,7 @@ uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
          live &= live - 1) {
       if (cancel != nullptr && cancel->tripped()) return total;
       const size_t p = w * 64 + static_cast<size_t>(__builtin_ctzll(live));
-      std::vector<Mapping>* slot = slots[p] + doc_slot;
+      std::vector<Mapping>* slot = slots[p];
       PlanCounters& counters = counters_[p];
       // Tiers 2–3: the plan's remaining prefilter clauses (a memmem over
       // the rare candidate document), then its cached lazy DFA.

@@ -114,16 +114,16 @@ class MultiQueryExtractor {
   // with no sweep; and it counts a shard's documents in one write.
   friend class BatchExtractor;
 
-  // The survivor path behind ExtractAllSortedInto. Plan p's result slot
-  // is slots[p][doc_slot]; every slot must be empty on entry, and only the
-  // plans that reach an evaluator write theirs. Adds each such plan's
-  // mapping count to plan_mappings[p] when that is non-null, adds 1 to
-  // *counted once the shared pass completes (the caller publishes the
-  // total with CountDocuments), and returns the document's mappings
-  // summed over every plan.
+  // The survivor path behind ExtractAllSortedInto. It takes one slot per
+  // plan, *slots[p]; every slot must be empty on entry, and only the plans
+  // that reach an evaluator write theirs. Adds each such plan's mapping
+  // count to plan_mappings[p] when that is non-null, adds 1 to *counted
+  // once the shared pass completes (the caller publishes the total with
+  // CountDocuments), and returns the document's mappings summed over
+  // every plan.
   uint64_t ExtractSurvivorsInto(const Document& doc, PlanScratch* scratch,
                                 std::vector<Mapping>* const* slots,
-                                size_t doc_slot, uint64_t* plan_mappings,
+                                uint64_t* plan_mappings,
                                 uint64_t* counted) const;
   // Adds `n` documents to the shared count.
   void CountDocuments(uint64_t n) const {

@@ -41,6 +41,18 @@ void AppendPlanJson(std::string* out, const PlanReport& p) {
 
 }  // namespace
 
+void EngineReport::AddFleet(const MultiQueryExtractor& extractor) {
+  const bool single = extractor.num_plans() == 1;
+  if (!single) fleet = extractor.ToString();
+  for (size_t p = 0; p < extractor.num_plans(); ++p) {
+    const ExtractionPlan& plan = extractor.plan(p);
+    plans.push_back(PlanReport{single ? "" : "q" + std::to_string(p),
+                               plan.info().ToString(),
+                               extractor.plan_stats(p),
+                               plan.lazy_dfa().stats()});
+  }
+}
+
 std::string EngineReport::ToText(const std::string& prefix) const {
   std::string out;
   if (!fleet.empty()) out += prefix + fleet + "\n";

@@ -24,8 +24,9 @@
 namespace spanners {
 namespace engine {
 
-/// One plan's stats snapshot. `label` is "" for a single-plan run and
-/// "q<i>" (command-line position) for fleet members.
+/// One plan's stats snapshot. `label` is "" for a single-plan run (a
+/// fleet of one included) and "q<i>" (command-line position) for the
+/// members of a larger fleet.
 struct PlanReport {
   std::string label;
   std::string info;  // PlanInfo::ToString()
@@ -102,6 +103,12 @@ struct EngineReport {
   /// spanexd server-side accounting (stats endpoint only).
   bool have_server = false;
   ServerStatsReport server;
+
+  /// Adds the per-plan lines of `extractor`'s fleet, counted as the fleet
+  /// was offered documents, and for more than one plan its `fleet` line.
+  /// A fleet of one reports as its plan alone, as it prints
+  /// (FleetOutputHeader).
+  void AddFleet(const MultiQueryExtractor& extractor);
 
   /// The --stats text block, one `<prefix>...` line per fact.
   std::string ToText(const std::string& prefix) const;

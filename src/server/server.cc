@@ -104,18 +104,11 @@ class Server::RowChunks {
         token_(token),
         ship_(std::move(ship)) {}
 
-  /// The session's TSV header block; JSON rows have none.
+  /// The session's TSV header block, each line as one row; JSON rows
+  /// have none.
   void AddHeader() {
     if (format_ != OutputFormat::kTsv) return;
-    if (fleet_.num_plans() == 1) {
-      Add(engine::TsvHeader(fleet_.plan(0).vars()));
-      return;
-    }
-    std::vector<const VarSet*> vars;
-    vars.reserve(fleet_.num_plans());
-    for (size_t p = 0; p < fleet_.num_plans(); ++p)
-      vars.push_back(&fleet_.plan(p).vars());
-    const std::string block = engine::FleetTsvHeader(vars);
+    const std::string block = engine::FleetOutputHeader(fleet_);
     size_t start = 0;
     while (start < block.size()) {
       const size_t nl = block.find('\n', start);
@@ -129,17 +122,13 @@ class Server::RowChunks {
   template <typename MappingsOf>
   void AddDocument(size_t doc_index, const Document& doc,
                    const MappingsOf& mappings_of) {
-    const bool single = fleet_.num_plans() == 1;
-    for (size_t p = 0; p < fleet_.num_plans() && !stopped_; ++p) {
+    const size_t num_plans = fleet_.num_plans();
+    for (size_t p = 0; p < num_plans && !stopped_; ++p) {
       const VarSet& vars = fleet_.plan(p).vars();
       for (const Mapping& m : mappings_of(p)) {
         row_.clear();
-        if (single) {
-          engine::AppendMappingRow(&row_, format_, doc_index, m, vars, doc);
-        } else {
-          engine::AppendFleetMappingRow(&row_, format_, p, doc_index, m, vars,
-                                        doc);
-        }
+        engine::AppendFleetOutputRow(&row_, format_, num_plans, p, doc_index,
+                                     m, vars, doc);
         row_.pop_back();  // rows travel bare; the helper appended '\n'
         Add(row_);
         if (stopped_) return;
@@ -673,16 +662,7 @@ void Server::HandleStats(const std::shared_ptr<Connection>& conn,
   // documents that survive the fleet's shared pass.
   const std::shared_ptr<const engine::MultiQueryExtractor> fleet =
       SessionFleet(conn);
-  if (fleet != nullptr) {
-    for (size_t p = 0; p < fleet->num_plans(); ++p) {
-      const engine::ExtractionPlan& plan = fleet->plan(p);
-      report.plans.push_back(engine::PlanReport{
-          fleet->num_plans() == 1 ? "" : "q" + std::to_string(p),
-          plan.info().ToString(), fleet->plan_stats(p),
-          plan.lazy_dfa().stats()});
-    }
-    if (fleet->num_plans() > 1) report.fleet = fleet->ToString();
-  }
+  if (fleet != nullptr) report.AddFleet(*fleet);
   report.have_cache = true;
   report.cache = cache_.stats();
   report.documents = corpus_docs();

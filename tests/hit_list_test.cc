@@ -3,7 +3,9 @@
 // ExtractIndexedMulti) at threads {1, 2, 8}, per_doc[i] equals the paper's
 // reference semantics (rgx/reference_eval, sorted by Mapping::operator<)
 // for every document i; hits() is ascending and counts the matched
-// documents; a reused result keeps no stale hit; and rows whose mappings
+// documents; both streams (ExtractStream, ExtractMultiStream) hand every
+// position of every shard's reused slice the same set, in corpus order; a
+// reused result or extractor keeps no stale hit; and rows whose mappings
 // leave variables unassigned (⊥ cells) keep Mapping::operator< order.
 #include <gtest/gtest.h>
 
@@ -133,6 +135,86 @@ void ExpectMultiMatches(const MultiBatchResult& got, const Dense3& want,
   EXPECT_EQ(got.total_mappings, total) << where;
 }
 
+// Mappings and matched documents of one output's reference.
+std::pair<uint64_t, size_t> Totals(
+    const std::vector<std::vector<Mapping>>& want) {
+  uint64_t mappings = 0;
+  size_t matched = 0;
+  for (const std::vector<Mapping>& ms : want) {
+    mappings += ms.size();
+    matched += !ms.empty();
+  }
+  return {mappings, matched};
+}
+
+// Runs ExtractStream under every plan and ExtractMultiStream over `corpus`
+// and checks that the consumer calls cover the corpus in corpus order,
+// that every slice position equals the reference, and the StreamStats
+// totals. The consumers read each slice in place and never move from it,
+// so an entry left over from an earlier shard of the same slice shows.
+void ExpectStreamsMatch(
+    BatchExtractor& batch,
+    const std::vector<std::shared_ptr<const ExtractionPlan>>& plans,
+    const MultiQueryExtractor& fleet, const Corpus& corpus,
+    const Dense3& want, const std::string& where) {
+  for (size_t p = 0; p < plans.size(); ++p) {
+    SCOPED_TRACE(where + "ExtractStream, plan " + std::to_string(p));
+    size_t next = 0;
+    size_t calls = 0;
+    const BatchExtractor::StreamStats stats = batch.ExtractStream(
+        *plans[p], corpus,
+        [&](size_t begin, size_t end,
+            std::vector<std::vector<Mapping>>& per_doc) {
+          ++calls;
+          EXPECT_EQ(begin, next) << "shards out of order";
+          EXPECT_LT(begin, end);
+          next = end;
+          ASSERT_EQ(per_doc.size(), end - begin);
+          for (size_t i = begin; i < end; ++i)
+            EXPECT_EQ(per_doc[i - begin], want[p][i]) << "document " << i;
+        });
+    const auto [mappings, matched] = Totals(want[p]);
+    EXPECT_EQ(next, corpus.size());
+    EXPECT_EQ(stats.shards, calls);
+    EXPECT_EQ(stats.total_mappings, mappings);
+    EXPECT_EQ(stats.matched_documents, matched);
+  }
+
+  SCOPED_TRACE(where + "ExtractMultiStream");
+  size_t next = 0;
+  size_t calls = 0;
+  const BatchExtractor::StreamStats stats = batch.ExtractMultiStream(
+      fleet, corpus,
+      [&](size_t begin, size_t end,
+          std::vector<std::vector<std::vector<Mapping>>>& per_plan) {
+        ++calls;
+        EXPECT_EQ(begin, next) << "shards out of order";
+        EXPECT_LT(begin, end);
+        next = end;
+        ASSERT_EQ(per_plan.size(), want.size());
+        for (size_t p = 0; p < want.size(); ++p) {
+          ASSERT_EQ(per_plan[p].size(), end - begin) << "plan " << p;
+          for (size_t i = begin; i < end; ++i)
+            EXPECT_EQ(per_plan[p][i - begin], want[p][i])
+                << "plan " << p << ", document " << i;
+        }
+      });
+  EXPECT_EQ(next, corpus.size());
+  EXPECT_EQ(stats.shards, calls);
+  uint64_t mappings = 0;
+  size_t matched = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    bool hit = false;
+    for (const auto& plan : want) {
+      mappings += plan[i].size();
+      hit = hit || !plan[i].empty();
+    }
+    matched += hit;
+  }
+  EXPECT_EQ(stats.total_mappings, mappings);
+  EXPECT_EQ(stats.matched_documents, matched);
+}
+
 std::vector<std::shared_ptr<const ExtractionPlan>> CompilePlans() {
   std::vector<std::shared_ptr<const ExtractionPlan>> plans;
   for (const std::string& pattern : Patterns())
@@ -168,8 +250,8 @@ class Persisted {
   std::optional<storage::NgramIndex> index_;
 };
 
-// Runs all six materializing entry points over `corpus` at threads
-// {1, 2, 8} and checks each against the reference.
+// Runs all six materializing entry points and both streams over `corpus`
+// at threads {1, 2, 8} and checks each against the reference.
 void CheckEveryEntryPoint(const Corpus& corpus, const std::string& tag) {
   const Dense3 want = Reference(corpus);
   const auto plans = CompilePlans();
@@ -203,6 +285,7 @@ void CheckEveryEntryPoint(const Corpus& corpus, const std::string& tag) {
     ExpectMultiMatches(batch.ExtractIndexedMulti(fleet, persisted.store(),
                                                  persisted.index()),
                        want, where + "ExtractIndexedMulti");
+    ExpectStreamsMatch(batch, plans, fleet, corpus, want, where);
   }
 }
 
@@ -239,7 +322,8 @@ TEST(HitListTest, EmptyDocumentWhoseOnlyMappingIsTheEmptyMapping) {
 
 // One result refilled over a longer corpus, then a shorter one whose hits
 // sit on other documents, then the longer one again: every call reads
-// exactly its own corpus, with no stale hit, size or index.
+// exactly its own corpus, with no stale hit, size or index — and so does
+// every stream through the same extractor.
 TEST(HitListTest, ReusedResultKeepsNoStaleHit) {
   const Corpus longer = MakeCorpus(129, {0, 63, 64, 100, 128}, {1, 70, 127});
   const Corpus shorter = MakeCorpus(65, {2, 62, 65}, {3, 64}, {10});
@@ -262,6 +346,7 @@ TEST(HitListTest, ReusedResultKeepsNoStaleHit) {
       ExpectMatches(reused, want[0], where + ", ExtractInto");
       batch.ExtractMultiInto(fleet, *corpus, &reused_multi);
       ExpectMultiMatches(reused_multi, want, where + ", ExtractMultiInto");
+      ExpectStreamsMatch(batch, plans, fleet, *corpus, want, where + ", ");
     }
   }
 }

@@ -720,30 +720,14 @@ int main(int argc, char** argv) {
     }
   };
 
-  // A fleet's TSV header and per-plan report lines. A fleet of one prints
-  // and reports as its plan alone, as spanexd serves it.
+  // A fleet's TSV header and report lines, as spanexd prints and reports
+  // them (a fleet of one as its plan alone).
   auto fleet_header = [&](const MultiQueryExtractor& fleet) {
-    if (format != OutputFormat::kTsv || !header) return;
-    if (fleet.num_plans() == 1) {
-      out += TsvHeader(fleet.plan(0).vars());
-      out += '\n';
-      return;
-    }
-    std::vector<const VarSet*> vars_per_plan;
-    for (size_t p = 0; p < fleet.num_plans(); ++p)
-      vars_per_plan.push_back(&fleet.plan(p).vars());
-    out += FleetTsvHeader(vars_per_plan);
+    if (format == OutputFormat::kTsv && header) out += FleetOutputHeader(fleet);
   };
   auto fleet_report = [&](const MultiQueryExtractor& fleet) {
     EngineReport report;
-    if (fleet.num_plans() > 1) report.fleet = fleet.ToString();
-    for (size_t p = 0; p < fleet.num_plans(); ++p) {
-      const ExtractionPlan& plan = fleet.plan(p);
-      report.plans.push_back(PlanReport{
-          fleet.num_plans() == 1 ? "" : "q" + std::to_string(p),
-          plan.info().ToString(), fleet.plan_stats(p),
-          plan.lazy_dfa().stats()});
-    }
+    report.AddFleet(fleet);
     report.have_cache = true;
     report.cache = cache.stats();
     return report;
@@ -756,7 +740,6 @@ int main(int argc, char** argv) {
   // candidates; non-candidates provably have no rows).
   if (index.has_value()) {
     MultiQueryExtractor fleet(plans);
-    const bool single = fleet.num_plans() == 1;
     fleet_header(fleet);
     IndexedStats index_stats;
     MultiBatchResult result =
@@ -768,11 +751,8 @@ int main(int argc, char** argv) {
       for (size_t p = 0; p < result.per_plan.size(); ++p) {
         const VarSet& vars = fleet.plan(p).vars();
         for (const Mapping& m : result.per_plan[p].per_doc[i]) {
-          if (single) {
-            AppendMappingRow(&out, format, i, m, vars, doc);
-          } else {
-            AppendFleetMappingRow(&out, format, p, i, m, vars, doc);
-          }
+          AppendFleetOutputRow(&out, format, fleet.num_plans(), p, i, m, vars,
+                               doc);
           flush_if_large();
         }
       }
