@@ -2,9 +2,8 @@
 // generated corpora, swept by thread count. The interesting curves:
 // scaling of the sequential-fragment workloads (land registry, server log)
 // with threads, the allocations/doc trajectory of the arena-backed hot
-// path (near zero in steady state), hardware cycles/byte of the serving
-// loop (where perf counters are available), the telemetry on/off overhead
-// the CI gate enforces, and the plan-cache hit path vs. fresh compilation.
+// path (near zero in steady state), the telemetry on/off overhead the CI
+// gate enforces, and the plan-cache hit path vs. fresh compilation.
 // tools/run_bench.sh runs this binary and records the JSON output as
 // BENCH_engine.json.
 #include <benchmark/benchmark.h>
@@ -18,7 +17,6 @@
 #include "common/cancel.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "query/compile.h"
 #include "query/parser.h"
 #include "storage/ngram_index.h"
@@ -553,51 +551,6 @@ BENCHMARK(BM_QueryBatchExtract_ServerLog)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// Hardware cost of the serving loop: cycles/byte, instructions/byte and
-// branch-miss rate of single-threaded extraction over the server-log
-// corpus, via a perf_event group on the extracting thread (the loop runs
-// inline, not on the pool, so the counters see all the work). Reported
-// only where perf_event_open is usable; containers/CI that mask the
-// syscall still run the bench and simply omit the columns.
-void BM_CyclesPerByte_ServerLog(benchmark::State& state) {
-  workload::CorpusOptions o;
-  o.documents = 200;
-  o.rows_per_document = 3;
-  Corpus corpus(workload::ServerLogCorpus(o));
-  ExtractionPlan plan =
-      ExtractionPlan::FromSpanner(Spanner::FromRgx(workload::LogLineRgx()));
-  PlanScratch scratch;
-  std::vector<Mapping> out;
-  for (size_t i = 0; i < corpus.size(); ++i)
-    plan.ExtractSortedInto(corpus[i], &scratch, &out);  // warm-up
-
-  obs::PerfCounterGroup perf;
-  perf.Start();
-  for (auto _ : state) {
-    for (size_t i = 0; i < corpus.size(); ++i)
-      plan.ExtractSortedInto(corpus[i], &scratch, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  perf.Stop();
-
-  const double bytes = static_cast<double>(state.iterations()) *
-                       static_cast<double>(corpus.TotalBytes());
-  state.SetBytesProcessed(static_cast<int64_t>(bytes));
-  state.counters["perf_available"] = perf.available() ? 1 : 0;
-  const obs::PerfCounterGroup::Values v = perf.Read();
-  if (v.valid && bytes > 0) {
-    state.counters["cycles/byte"] =
-        benchmark::Counter(static_cast<double>(v.cycles) / bytes);
-    state.counters["instr/byte"] =
-        benchmark::Counter(static_cast<double>(v.instructions) / bytes);
-    state.counters["branch_miss_rate"] =
-        v.instructions > 0 ? static_cast<double>(v.branch_misses) /
-                                 static_cast<double>(v.instructions)
-                           : 0;
-  }
-}
-BENCHMARK(BM_CyclesPerByte_ServerLog)->Unit(benchmark::kMillisecond);
 
 // The two sides of a paired overhead measurement (the ≤2% gates in
 // tools/run_bench.sh). Each iteration times both sides once and swaps

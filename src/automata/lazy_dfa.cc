@@ -17,29 +17,13 @@ size_t StateBytes(size_t stride, size_t subset_size) {
   return stride * sizeof(uint32_t) + subset_size * sizeof(StateId);
 }
 
-/// Shared gate-health metrics of every lazy DFA in the process. Misses,
-/// evictions and fallbacks mirror the per-instance LazyDfaStats fields so
-/// a --metrics snapshot shows cache behaviour without walking plans; the
-/// lock-wait histogram has no per-instance equivalent and is the one place
-/// writer contention on the transition cache becomes visible.
-struct DfaMetrics {
-  obs::Histogram* lock_wait_ns;
-  obs::Counter* misses;
-  obs::Counter* evictions;
-  obs::Counter* fallbacks;
-};
-
-const DfaMetrics& Metrics() {
-  static const DfaMetrics m = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-    DfaMetrics m;
-    m.lock_wait_ns = r.GetHistogram("lazy_dfa.lock_wait_ns");
-    m.misses = r.GetCounter("lazy_dfa.misses");
-    m.evictions = r.GetCounter("lazy_dfa.evictions");
-    m.fallbacks = r.GetCounter("lazy_dfa.fallbacks");
-    return m;
-  }();
-  return m;
+/// Writer-lock waits of every lazy DFA in the process: the one place
+/// contention on a transition cache becomes visible. The cache's counts
+/// live in each instance's LazyDfaStats.
+obs::Histogram* LockWaitHistogram() {
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Global().GetHistogram("lazy_dfa.lock_wait_ns");
+  return h;
 }
 
 }  // namespace
@@ -110,7 +94,6 @@ void LazyDfa::Clear() const {
   // The start row is rebuilt too: its entries may name dropped states.
   const size_t dropped = accepting_.size() > 2 ? accepting_.size() - 2 : 0;
   evictions_ += dropped;
-  if (dropped > 0 && obs::Enabled()) Metrics().evictions->Add(dropped);
   table_.clear();
   accepting_.clear();
   subsets_.clear();
@@ -125,7 +108,6 @@ void LazyDfa::Clear() const {
 uint32_t LazyDfa::Extend(uint32_t* cur, uint32_t atom) const {
   SPANNERS_DCHECK(atom > 0 && atom < stride_);
   ++misses_;
-  if (obs::Enabled()) Metrics().misses->Add(1);
   // Atoms refine every letter CharSet, so one representative byte decides
   // whether the whole atom is inside a transition's class.
   const char rep = atoms_[atom - 1].AnyMember();
@@ -195,7 +177,7 @@ std::optional<bool> LazyDfa::Matches(std::string_view text,
   const uint64_t wait_start = obs::Enabled() ? obs::NowNanos() : 0;
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (wait_start != 0)
-    Metrics().lock_wait_ns->Record(obs::NowNanos() - wait_start);
+    LockWaitHistogram()->Record(obs::NowNanos() - wait_start);
   cur = Intern(subset);
   if (cur == kUnknown) {  // a clear ran while unlocked and left no room
     Clear();
@@ -211,7 +193,6 @@ std::optional<bool> LazyDfa::Matches(std::string_view text,
   // Even a cleared cache cannot hold this call's states: the caller
   // simulates; later calls start over.
   ++fallbacks_;
-  if (obs::Enabled()) Metrics().fallbacks->Add(1);
   return std::nullopt;
 }
 
@@ -223,7 +204,6 @@ LazyDfaStats LazyDfa::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.fallbacks = fallbacks_;
-  s.overflowed = s.fallbacks > 0;
   return s;
 }
 

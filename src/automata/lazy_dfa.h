@@ -60,7 +60,6 @@ struct LazyDfaStats {
   uint64_t misses = 0;     // transitions computed (cache extensions)
   uint64_t evictions = 0;  // states dropped by clears at the memory bound
   uint64_t fallbacks = 0;  // calls answered "unknown" (caller simulates)
-  bool overflowed = false; // at least one call fell back
 };
 
 class LazyDfa {

@@ -38,25 +38,12 @@ std::pair<uint64_t, uint64_t> PageFaults() {
           static_cast<uint64_t>(ru.ru_majflt)};
 }
 
-/// Mirrors one indexed call's accounting into the obs index.* metrics.
-void RecordIndexedStats(const IndexedStats& stats) {
-  if (!obs::Enabled()) return;
-  auto& reg = obs::MetricsRegistry::Global();
-  static obs::Counter* corpus_docs = reg.GetCounter("index.corpus_docs");
-  static obs::Counter* candidate_docs =
-      reg.GetCounter("index.candidate_docs");
-  static obs::Counter* postings = reg.GetCounter("index.postings_touched");
-  static obs::Counter* terms = reg.GetCounter("index.terms_probed");
-  static obs::Counter* minflt = reg.GetCounter("index.minor_faults");
-  static obs::Counter* majflt = reg.GetCounter("index.major_faults");
-  static obs::Histogram* lookup_ns = reg.GetHistogram("index.lookup_ns");
-  corpus_docs->Add(stats.corpus_docs);
-  candidate_docs->Add(stats.candidate_docs);
-  postings->Add(stats.postings_touched);
-  terms->Add(stats.terms_probed);
-  minflt->Add(stats.minor_faults);
-  majflt->Add(stats.major_faults);
-  lookup_ns->Record(stats.lookup_ns);
+/// Index lookup time per indexed call; the call's counts live in its
+/// IndexedStats.
+obs::Histogram* LookupHistogram() {
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Global().GetHistogram("index.lookup_ns");
+  return h;
 }
 
 /// The index half of both indexed calls: looks up the candidates — the
@@ -108,7 +95,7 @@ void WithCandidates(const storage::NgramIndex* index, size_t num_docs,
   const std::pair<uint64_t, uint64_t> faults1 = PageFaults();
   local.minor_faults = faults1.first - faults0.first;
   local.major_faults = faults1.second - faults0.second;
-  RecordIndexedStats(local);
+  if (obs::Enabled()) LookupHistogram()->Record(local.lookup_ns);
   if (stats != nullptr) *stats = local;
 }
 

@@ -1,6 +1,7 @@
 #include "engine/corpus.h"
 
 #include <fstream>
+#include <iostream>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -38,6 +39,20 @@ Result<Corpus> Corpus::FromFile(const std::string& path, char delimiter) {
   if (!in)
     return Status::InvalidArgument("cannot open corpus file: " + path);
   return FromStream(in, delimiter);
+}
+
+Result<Corpus> Corpus::FromFiles(const std::vector<std::string>& paths,
+                                 char delimiter) {
+  Corpus corpus;
+  for (const std::string& path : paths) {
+    if (path == "-") {
+      corpus.Append(FromStream(std::cin, delimiter));
+      continue;
+    }
+    SPANNERS_ASSIGN_OR_RETURN(Corpus part, FromFile(path, delimiter));
+    corpus.Append(std::move(part));
+  }
+  return corpus;
 }
 
 void Corpus::Append(Corpus&& other) {

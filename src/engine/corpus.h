@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -33,6 +34,11 @@ class Corpus {
   /// Reads and splits a file. Fails with kInvalidArgument when unreadable.
   static Result<Corpus> FromFile(const std::string& path,
                                  char delimiter = '\n');
+
+  /// Reads every file of `paths` in order, "-" meaning standard input, and
+  /// concatenates their documents. Fails on the first unreadable file.
+  static Result<Corpus> FromFiles(const std::vector<std::string>& paths,
+                                  char delimiter = '\n');
 
   void Add(Document doc) { docs_.push_back(std::move(doc)); }
 

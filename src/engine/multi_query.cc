@@ -11,24 +11,12 @@ namespace engine {
 
 namespace {
 
-// The shared pass's own metrics; tiers 2 and 3 record theirs through
+// The shared pass's own time; tiers 2 and 3 record theirs through
 // ExtractionPlan::GateCascade, the one cascade a plan run alone uses too.
-struct FleetMetrics {
-  obs::Histogram* ac_scan_ns;
-  obs::Counter* documents;
-  obs::Counter* ac_gate_skipped;
-};
-
-const FleetMetrics& Metrics() {
-  static const FleetMetrics m = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-    FleetMetrics m;
-    m.ac_scan_ns = r.GetHistogram("tier.ac_scan_ns");
-    m.documents = r.GetCounter("engine.documents");
-    m.ac_gate_skipped = r.GetCounter("engine.ac_gate_skipped");
-    return m;
-  }();
-  return m;
+obs::Histogram* AcScanHistogram() {
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Global().GetHistogram("tier.ac_scan_ns");
+  return h;
 }
 
 }  // namespace
@@ -117,9 +105,8 @@ uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
   // would compute for that clause, so gating decisions — and therefore
   // results — match the plans run alone. The scan stops early once every
   // gated plan is satisfied. Without a pass every plan survives it.
-  size_t ac_rejected = 0;
   if (gating_enabled_ && ac_ != nullptr) {
-    obs::ObsSpan span(Metrics().ac_scan_ns, "ac_scan");
+    obs::ObsSpan span(AcScanHistogram(), "ac_scan");
     bits.assign(ungated_mask_.size(), 0);
     size_t remaining = gated_plans_;
     if (!text.empty()) {
@@ -143,7 +130,6 @@ uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
     // A trip mid-scan left the bitset partial; gating decisions derived
     // from it would be wrong. Bail — the caller discards via the token.
     if (cancel != nullptr && cancel->tripped()) return 0;
-    ac_rejected = remaining;
   } else {
     bits.assign(ungated_mask_.size(), ~uint64_t{0});
     if (num_plans % 64 != 0)
@@ -154,10 +140,6 @@ uint64_t MultiQueryExtractor::ExtractSurvivorsInto(
   // derives every gated plan's shared-pass rejections from it, so a
   // rejected (plan, doc) pair is never touched below.
   ++*counted;
-  if (obs::Enabled() && ac_rejected > 0) {
-    Metrics().documents->Add(ac_rejected);
-    Metrics().ac_gate_skipped->Add(ac_rejected);
-  }
 
   // Survivors only: the pass's satisfied plans plus the ungated ones, in
   // plan order.

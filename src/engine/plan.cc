@@ -16,20 +16,15 @@ namespace engine {
 
 namespace {
 
-/// Registry handles of the engine's per-tier metrics, resolved once.
-/// Histogram counts double as per-tier document counts: every document
-/// that ENTERS a tier records one observation in that tier's histogram,
-/// and the engine.* counters record where documents LANDED.
+/// Registry handles of the engine's per-tier time histograms, resolved
+/// once. Their counts double as per-tier document counts: every document
+/// that ENTERS a tier records one observation in that tier's histogram.
+/// Where documents LANDED is counted once, in the plan's own PlanStats.
 struct EngineMetrics {
   obs::Histogram* prefilter_ns;
   obs::Histogram* dfa_gate_ns;
   obs::Histogram* nfa_sim_ns;
   obs::Histogram* eval_ns[3];  // indexed by Spanner::Evaluator
-  obs::Counter* documents;
-  obs::Counter* mappings;
-  obs::Counter* prefilter_skipped;
-  obs::Counter* dfa_skipped;
-  obs::Counter* evaluated;
 };
 
 const EngineMetrics& Metrics() {
@@ -42,11 +37,6 @@ const EngineMetrics& Metrics() {
     m.eval_ns[0] = r.GetHistogram("tier.eval_run_enum_ns");
     m.eval_ns[1] = r.GetHistogram("tier.eval_sequential_ns");
     m.eval_ns[2] = r.GetHistogram("tier.eval_fpt_ns");
-    m.documents = r.GetCounter("engine.documents");
-    m.mappings = r.GetCounter("engine.mappings");
-    m.prefilter_skipped = r.GetCounter("engine.prefilter_skipped");
-    m.dfa_skipped = r.GetCounter("engine.dfa_skipped");
-    m.evaluated = r.GetCounter("engine.evaluated");
     return m;
   }();
   return m;
@@ -64,15 +54,6 @@ std::string Percent(uint64_t part, uint64_t whole) {
 }
 
 }  // namespace
-
-PlanStats& PlanStats::operator+=(const PlanStats& o) {
-  documents += o.documents;
-  mappings += o.mappings;
-  prefilter_skipped += o.prefilter_skipped;
-  dfa_skipped += o.dfa_skipped;
-  ac_gate_skipped += o.ac_gate_skipped;
-  return *this;
-}
 
 std::string PlanStats::ToString() const {
   const uint64_t skipped =
@@ -163,13 +144,7 @@ GateTier ExtractionPlan::GateCascade(std::string_view text,
       obs::ObsSpan span(Metrics().prefilter_ns, "prefilter");
       pass = prefilter_.Matches(text, cancel);
     }
-    if (!pass) {
-      if (obs::Enabled()) {
-        Metrics().documents->Add(1);
-        Metrics().prefilter_skipped->Add(1);
-      }
-      return GateTier::kPrefilter;
-    }
+    if (!pass) return GateTier::kPrefilter;
   }
   // The lazy DFA over-approximates ⟦A⟧ for any VA (ops relaxed to ε), so
   // its negative answer is always authoritative; nullopt = cache overflow
@@ -180,13 +155,7 @@ GateTier ExtractionPlan::GateCascade(std::string_view text,
     obs::ObsSpan span(Metrics().dfa_gate_ns, "dfa_gate");
     verdict = dfa_->Matches(text, cancel);
   }
-  if (verdict.has_value() && !*verdict) {
-    if (obs::Enabled()) {
-      Metrics().documents->Add(1);
-      Metrics().dfa_skipped->Add(1);
-    }
-    return GateTier::kLazyDfa;
-  }
+  if (verdict.has_value() && !*verdict) return GateTier::kLazyDfa;
   return GateTier::kNone;
 }
 
@@ -210,11 +179,6 @@ bool ExtractionPlan::GateRejects(const Document& doc,
 void ExtractionPlan::CountEvaluated(uint64_t mappings) const {
   counters_->documents.Add(1);
   counters_->mappings.Add(mappings);
-  if (obs::Enabled()) {
-    Metrics().documents->Add(1);
-    Metrics().evaluated->Add(1);
-    Metrics().mappings->Add(mappings);
-  }
 }
 
 bool ExtractionPlan::Matches(const Document& doc, PlanScratch* scratch) const {
@@ -267,21 +231,19 @@ void ExtractionPlan::ExtractSortedInto(const Document& doc,
   scratch->pool.RecycleAll(out);  // previous results refill the pool
   if (GateRejects(doc, scratch->cancel)) return;  // *out is the (empty) result
   ExtractSortedPregatedInto(doc, scratch, out);
+  CountEvaluated(out->size());
 }
 
 void ExtractionPlan::ExtractSortedPregatedInto(const Document& doc,
                                                PlanScratch* scratch,
                                                std::vector<Mapping>* out) const {
   scratch->pool.RecycleAll(out);
-  {
-    obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
-                      kEvalSpanName[size_t(info_.evaluator)]);
-    VectorSink sink(out, &scratch->pool);
-    spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, sink,
-                       scratch->cancel);
-    std::sort(out->begin(), out->end());
-  }
-  CountEvaluated(out->size());
+  obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
+                    kEvalSpanName[size_t(info_.evaluator)]);
+  VectorSink sink(out, &scratch->pool);
+  spanner_.ExtractTo(info_.evaluator, doc, &scratch->arena, sink,
+                     scratch->cancel);
+  std::sort(out->begin(), out->end());
 }
 
 void ExtractionPlan::ExtractTo(const Document& doc, PlanScratch* scratch,

@@ -76,8 +76,10 @@ struct PlanScratch {
 };
 
 /// Monotonic extraction counters; safe under concurrent Extract calls.
-/// Also the per-plan stats unit of multi-query runs (MultiQueryExtractor
-/// aggregates one PlanStats per resident plan).
+/// Each count has one record: ExtractionPlan::stats() counts what the plan
+/// is offered when run alone (ExtractSortedInto, Extract, ExtractTo), and
+/// MultiQueryExtractor::plan_stats(p) what a fleet offers its plan p. A
+/// document the fleet offers is never counted in the plan's own record.
 ///
 /// Counter semantics. `documents` counts every document OFFERED to the
 /// plan (skipped or not); each offered document lands in exactly one of
@@ -109,9 +111,6 @@ struct PlanStats {
         ac_gate_skipped + prefilter_skipped + dfa_skipped;
     return documents >= skipped ? documents - skipped : 0;
   }
-
-  /// Element-wise accumulation (fleet-level aggregation over plans).
-  PlanStats& operator+=(const PlanStats& o);
 
   /// Derived view with tier-skip percentages, e.g. "1000 docs: 950
   /// skipped (95.0% — 900 ac, 30 prefilter, 20 dfa), 50 evaluated
@@ -183,11 +182,10 @@ class ExtractionPlan : public DocumentExtractor {
   /// then the cached lazy DFA (its negative answer is sound for any VA).
   /// `prefilter_decided` skips the prefilter when an outer tier already
   /// decided the plan's only clause (the multi-query shared pass). Records
-  /// the tier.* spans and, on a rejection, the engine.* registry counters
-  /// (documents plus the rejecting tier's skip counter); the caller counts
-  /// the verdict in its own per-plan record and decides by its own
-  /// gating flag whether to run the cascade at all. A tripped `cancel`
-  /// answers kNone (no proof): the evaluator notices the trip at once.
+  /// the tier.* spans only; the caller counts the verdict in its own
+  /// record and decides by its own gating flag whether to run the cascade
+  /// at all. A tripped `cancel` answers kNone (no proof): the evaluator
+  /// notices the trip at once.
   GateTier GateCascade(std::string_view text, CancelToken* cancel,
                        bool prefilter_decided = false) const;
 
@@ -218,7 +216,7 @@ class ExtractionPlan : public DocumentExtractor {
   /// ExtractSortedInto for a document an outer tier has already gated:
   /// skips this plan's own gate cascade (the multi-query extractor runs it
   /// after its shared corpus pass) and goes straight to the evaluator.
-  /// Counters for documents/mappings are still bumped.
+  /// Counts nothing in stats(): the outer tier keeps the record.
   void ExtractSortedPregatedInto(const Document& doc, PlanScratch* scratch,
                                  std::vector<Mapping>* out) const;
 
@@ -228,7 +226,8 @@ class ExtractionPlan : public DocumentExtractor {
   void ExtractTo(const Document& doc, PlanScratch* scratch,
                  MappingSink& sink) const;
 
-  /// Snapshot of the monotonic counters.
+  /// Snapshot of the monotonic counters: what the plan was offered when
+  /// run alone.
   PlanStats stats() const;
 
  private:

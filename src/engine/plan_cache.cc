@@ -4,35 +4,8 @@
 #include <mutex>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace spanners {
 namespace engine {
-
-namespace {
-
-/// Registry mirrors of the cache's own atomics: PlanCacheStats answers
-/// "this cache", the plan_cache.* counters answer "the process" in one
-/// --metrics snapshot next to every other subsystem.
-struct CacheMetrics {
-  obs::Counter* hits;
-  obs::Counter* misses;
-  obs::Counter* evictions;
-};
-
-const CacheMetrics& Metrics() {
-  static const CacheMetrics m = [] {
-    obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-    CacheMetrics m;
-    m.hits = r.GetCounter("plan_cache.hits");
-    m.misses = r.GetCounter("plan_cache.misses");
-    m.evictions = r.GetCounter("plan_cache.evictions");
-    return m;
-  }();
-  return m;
-}
-
-}  // namespace
 
 PlanCache::PlanCache(PlanCacheOptions options)
     : capacity_(options.capacity == 0 ? 1 : options.capacity) {}
@@ -45,7 +18,6 @@ Result<std::shared_ptr<const ExtractionPlan>> PlanCache::GetOrCompile(
   // malformed pattern can never be served a query-keyed plan.
   if (!pattern.empty() && pattern.front() == ')') {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) Metrics().misses->Add(1);
     Result<ExtractionPlan> compiled = ExtractionPlan::Compile(pattern);
     if (!compiled.ok()) return compiled.status();
     return std::make_shared<const ExtractionPlan>(std::move(compiled).value());
@@ -63,12 +35,10 @@ Result<std::shared_ptr<const ExtractionPlan>> PlanCache::GetOrInsert(
     if (it != entries_.end()) {
       it->second.last_used.store(NextTick(), std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::Enabled()) Metrics().hits->Add(1);
       return it->second.plan;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Enabled()) Metrics().misses->Add(1);
 
   // Compile outside any lock: compilation can be expensive and must not
   // serialize readers of other patterns.
@@ -128,7 +98,6 @@ void PlanCache::EvictIfOverCapacity() {
     entries_.erase(lru);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
-    if (obs::Enabled()) Metrics().evictions->Add(1);
   }
 }
 

@@ -41,6 +41,11 @@ void AppendPlanJson(std::string* out, const PlanReport& p) {
 
 }  // namespace
 
+void EngineReport::AddPlan(std::string label, const ExtractionPlan& plan) {
+  plans.push_back(PlanReport{std::move(label), plan.info().ToString(),
+                             plan.stats(), plan.lazy_dfa().stats()});
+}
+
 void EngineReport::AddFleet(const MultiQueryExtractor& extractor) {
   const bool single = extractor.num_plans() == 1;
   if (!single) fleet = extractor.ToString();

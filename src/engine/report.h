@@ -25,8 +25,9 @@ namespace spanners {
 namespace engine {
 
 /// One plan's stats snapshot. `label` is "" for a single-plan run (a
-/// fleet of one included) and "q<i>" (command-line position) for the
-/// members of a larger fleet.
+/// fleet of one included), "q<i>" (command-line position) for the
+/// members of a larger fleet and "s<i>" for a query's i-th distinct scan
+/// plan (PlanString order).
 struct PlanReport {
   std::string label;
   std::string info;  // PlanInfo::ToString()
@@ -103,6 +104,10 @@ struct EngineReport {
   /// spanexd server-side accounting (stats endpoint only).
   bool have_server = false;
   ServerStatsReport server;
+
+  /// Adds `plan`'s own record (ExtractionPlan::stats(): what it was
+  /// offered when run alone or as a query's scan) under `label`.
+  void AddPlan(std::string label, const ExtractionPlan& plan);
 
   /// Adds the per-plan lines of `extractor`'s fleet, counted as the fleet
   /// was offered documents, and for more than one plan its `fleet` line.

@@ -11,15 +11,19 @@
 // benchmarks, the spanexd stats endpoint).
 //
 // Naming convention: dot-separated, coarse-to-fine —
-//   engine.*      plan-level counters (documents, mappings, tier skips)
+//   engine.*      whole-document time, per-request arena peaks
 //   tier.*_ns     per-tier time histograms (one Record per document that
 //                 entered the tier)
-//   lazy_dfa.*    transition-cache internals (lock waits, misses, states
-//                 dropped by clears, fallbacks)
-//   plan_cache.*  hit/miss/eviction counters
+//   lazy_dfa.*    transition-cache lock waits
 //   query.*_ns    relational-operator time histograms
+//   server.*      request, queue-wait and queue-depth histograms
+//   index.*       lookup time, build volume
 //   mem.*         allocation accounting
-// The catalogue lives in README.md ("Observability").
+// The registry holds histograms plus the counts no object owns
+// (fault.fired, client.retries, mem.heap_allocs, index.build_*). A count
+// an object owns has its one record there: PlanStats, the fleet's
+// plan_stats, LazyDfaStats, PlanCacheStats, IndexedStats, the server's
+// StatsSnapshot. The catalogue lives in README.md ("Observability").
 #ifndef SPANNERS_OBS_METRICS_H_
 #define SPANNERS_OBS_METRICS_H_
 

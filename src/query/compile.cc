@@ -57,7 +57,10 @@ class PhysicalNode {
   virtual void Evaluate(const Document& doc, engine::PlanScratch* scratch,
                         MappingSink& sink) const = 0;
   virtual void Describe(std::string* out) const = 0;
-  virtual size_t CountScans() const = 0;
+  /// Appends the scan leaves' plans in Describe() order.
+  virtual void CollectScans(
+      std::vector<std::shared_ptr<const engine::ExtractionPlan>>* out)
+      const = 0;
 
  protected:
   explicit PhysicalNode(VarSet vars) : vars_(std::move(vars)) {}
@@ -141,7 +144,10 @@ class ScanNode final : public PhysicalNode {
   void Describe(std::string* out) const override {
     *out += "scan[" + plan_->pattern() + "]";
   }
-  size_t CountScans() const override { return 1; }
+  void CollectScans(
+      std::vector<std::shared_ptr<const ExtractionPlan>>* out) const override {
+    out->push_back(plan_);
+  }
 
  private:
   std::shared_ptr<const ExtractionPlan> plan_;
@@ -172,8 +178,10 @@ class UnionNode final : public PhysicalNode {
     right_->Describe(out);
     *out += ")";
   }
-  size_t CountScans() const override {
-    return left_->CountScans() + right_->CountScans();
+  void CollectScans(
+      std::vector<std::shared_ptr<const ExtractionPlan>>* out) const override {
+    left_->CollectScans(out);
+    right_->CollectScans(out);
   }
 
  private:
@@ -215,7 +223,10 @@ class ProjectNode final : public PhysicalNode {
     input_->Describe(out);
     *out += ")";
   }
-  size_t CountScans() const override { return input_->CountScans(); }
+  void CollectScans(
+      std::vector<std::shared_ptr<const ExtractionPlan>>* out) const override {
+    input_->CollectScans(out);
+  }
 
  private:
   NodePtr input_;
@@ -255,7 +266,10 @@ class SelectEqNode final : public PhysicalNode {
     input_->Describe(out);
     *out += ")";
   }
-  size_t CountScans() const override { return input_->CountScans(); }
+  void CollectScans(
+      std::vector<std::shared_ptr<const ExtractionPlan>>* out) const override {
+    input_->CollectScans(out);
+  }
 
  private:
   NodePtr input_;
@@ -322,8 +336,10 @@ class JoinNode final : public PhysicalNode {
     probe_->Describe(out);
     *out += ")";
   }
-  size_t CountScans() const override {
-    return build_->CountScans() + probe_->CountScans();
+  void CollectScans(
+      std::vector<std::shared_ptr<const ExtractionPlan>>* out) const override {
+    build_->CollectScans(out);
+    probe_->CollectScans(out);
   }
 
  private:
@@ -598,7 +614,14 @@ std::string CompiledQuery::PlanString() const {
   return out;
 }
 
-size_t CompiledQuery::num_scans() const { return root_->CountScans(); }
+std::vector<std::shared_ptr<const engine::ExtractionPlan>>
+CompiledQuery::scan_plans() const {
+  std::vector<std::shared_ptr<const engine::ExtractionPlan>> out;
+  root_->CollectScans(&out);
+  return out;
+}
+
+size_t CompiledQuery::num_scans() const { return scan_plans().size(); }
 
 MappingSet CompiledQuery::Extract(const Document& doc) const {
   engine::PlanScratch scratch;

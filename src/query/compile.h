@@ -65,8 +65,14 @@ class CompiledQuery : public engine::DocumentExtractor {
   /// The physical shape after pushdown, e.g.
   /// "join(scan[union(...)], select_eq[x=y](scan[rule(...)]))".
   std::string PlanString() const;
-  /// Number of scan (automaton) leaves — 1 when the whole expression
-  /// fused into a single VA.
+  /// The plans of the scan (automaton) leaves in PlanString() order, one
+  /// per scan; under a cache they are the cache's own entries, so a plan
+  /// scanned twice appears twice. Each plan's stats() counts what its
+  /// scans were offered.
+  std::vector<std::shared_ptr<const engine::ExtractionPlan>> scan_plans()
+      const;
+  /// Number of scan leaves (scan_plans().size()) — 1 when the whole
+  /// expression fused into a single VA.
   size_t num_scans() const;
 
   /// ⟦expr⟧_doc, self-contained (allocates private scratch).

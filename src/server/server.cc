@@ -657,9 +657,10 @@ void Server::MarkDegraded(const std::string& reason) {
 void Server::HandleStats(const std::shared_ptr<Connection>& conn,
                          int64_t id) {
   engine::EngineReport report;
-  // Per-plan lines count what the session's fleet was offered, as spanex
-  // reports a fleet offline: the plan's own record sees only the
-  // documents that survive the fleet's shared pass.
+  // Per-plan lines are the session fleet's record of what it offered each
+  // plan, as spanex reports a fleet offline; a plan's own record counts
+  // only what it is offered when run alone, so none of the fleet's work.
+  // Per-tier totals across sessions are the tier.* histogram counts.
   const std::shared_ptr<const engine::MultiQueryExtractor> fleet =
       SessionFleet(conn);
   if (fleet != nullptr) report.AddFleet(*fleet);

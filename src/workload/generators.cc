@@ -1,6 +1,9 @@
 #include "workload/generators.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
+#include "common/parse.h"
 #include "rgx/analysis.h"
 #include "rgx/parser.h"
 
@@ -346,6 +349,61 @@ std::vector<Document> ServerLogCorpus(const CorpusOptions& options) {
     docs.push_back(ServerLogDocument(o));
   }
   return docs;
+}
+
+Result<PatternFleet> CorpusFromSpec(std::string_view spec) {
+  std::vector<std::string_view> fields;
+  for (size_t start = 0;;) {
+    const size_t colon = spec.find(':', start);
+    fields.push_back(spec.substr(start, colon - start));
+    if (colon == std::string_view::npos) break;
+    start = colon + 1;
+  }
+  const std::string quoted = "corpus spec '" + std::string(spec) + "'";
+  if (fields.size() > 4)
+    return Status::InvalidArgument(quoted +
+                                   ": expected KIND[:DOCS[:ROWS[:PATTERNS]]]");
+  static constexpr const char* kNames[] = {"DOCS", "ROWS", "PATTERNS"};
+  constexpr size_t kMaxCount = size_t{1} << 32;
+  size_t counts[] = {1000, 4, 32};
+  for (size_t i = 1; i < fields.size(); ++i)
+    if (!ParseCount(fields[i], kMaxCount, &counts[i - 1]))
+      return Status::InvalidArgument(
+          quoted + ": " + kNames[i - 1] + " '" + std::string(fields[i]) +
+          "' is not a count in [0, " + std::to_string(kMaxCount) + "]");
+  const std::string_view kind = fields[0];
+  const size_t docs = counts[0], rows = counts[1];
+
+  PatternFleet out;
+  if (kind == "land-registry" || kind == "server-log") {
+    CorpusOptions o;
+    o.documents = docs;
+    o.rows_per_document = rows;
+    out.documents = kind == "land-registry" ? LandRegistryCorpus(o)
+                                            : ServerLogCorpus(o);
+  } else if (kind == "needle") {
+    NeedleOptions o;
+    o.documents = docs;
+    o.doc_bytes = rows * 45;
+    out.documents = NeedleCorpus(o);
+  } else if (kind == "fleet") {
+    FleetOptions o;
+    o.documents = docs;
+    o.doc_bytes = rows * 45;
+    o.num_patterns = std::max<size_t>(counts[2], 1);
+    out = MakePatternFleet(o);
+  } else if (kind == "bomb") {
+    BombOptions o;
+    o.documents = docs;
+    if (fields.size() > 2) o.doc_bytes = rows * 45;
+    out.documents = BombCorpus(o);
+    out.patterns.push_back(PathologicalRgxText());
+  } else {
+    return Status::InvalidArgument(
+        quoted + ": unknown kind '" + std::string(kind) +
+        "' (expected land-registry, server-log, needle, fleet or bomb)");
+  }
+  return out;
 }
 
 }  // namespace workload

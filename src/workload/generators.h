@@ -9,6 +9,7 @@
 #include <string>
 
 #include "automata/va.h"
+#include "common/status.h"
 #include "core/document.h"
 #include "rgx/ast.h"
 #include "rules/rule.h"
@@ -165,6 +166,21 @@ struct PatternFleet {
   std::vector<Document> documents;
 };
 PatternFleet MakePatternFleet(const FleetOptions& options);
+
+// ---- corpus specs -------------------------------------------------------
+
+/// The corpus a `KIND[:DOCS[:ROWS[:PATTERNS]]]` spec names (the
+/// `--generate` argument of spanex and spanexd). KIND is land-registry,
+/// server-log, needle (the 1%-match corpus), fleet (PATTERNS needle
+/// queries over one corpus) or bomb (the Θ(n²) cancellation workload).
+/// DOCS (default 1000) counts documents and ROWS (default 4) rows or
+/// lines per document: ~45 filler bytes each for needle, fleet and bomb,
+/// whose default is 32 KiB. PATTERNS (default 32; 0 means 1) sizes a
+/// fleet. Returns the documents plus the kind's default patterns: the
+/// fleet's queries, bomb's poison pattern, none for the other kinds.
+/// InvalidArgument for an unknown kind, a field that is not a decimal
+/// count, or a fifth field.
+Result<PatternFleet> CorpusFromSpec(std::string_view spec);
 
 }  // namespace workload
 }  // namespace spanners

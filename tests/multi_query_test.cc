@@ -233,6 +233,30 @@ TEST(MultiQueryTest, PerPlanStatsAccountForEveryDocument) {
   }
 }
 
+// A fleet keeps the one record of what it offers its plans: its survivors
+// are counted in plan_stats(p) alone, and each plan's own stats(), which
+// counts what the plan is offered when run alone, stays at zero.
+TEST(MultiQueryTest, FleetSurvivorsCountOnceInTheFleetRecord) {
+  workload::FleetOptions o;
+  o.num_patterns = 4;
+  o.documents = 300;
+  o.doc_bytes = 200;
+  o.match_rate = 0.05;
+  workload::PatternFleet generated = workload::MakePatternFleet(o);
+  Corpus corpus(std::move(generated.documents));
+  MultiQueryExtractor fleet(CompileAll(generated.patterns));
+  MultiBatchResult result = BatchExtractor().ExtractMulti(fleet, corpus);
+  for (size_t p = 0; p < fleet.num_plans(); ++p) {
+    const PlanStats in_fleet = fleet.plan_stats(p);
+    EXPECT_EQ(in_fleet.documents, 300u) << p;
+    EXPECT_GT(in_fleet.evaluated(), 0u) << p;  // survivors reached it
+    EXPECT_EQ(in_fleet.mappings, result.per_plan[p].total_mappings) << p;
+    const PlanStats alone = fleet.plan(p).stats();
+    EXPECT_EQ(alone.documents, 0u) << p;
+    EXPECT_EQ(alone.mappings, 0u) << p;
+  }
+}
+
 // A refilled MultiBatchResult must hold exactly what a fresh extraction
 // of the new corpus gives: the second corpus is shorter and its needles
 // sit on other (plan, document) pairs, so every stale slot of the first

@@ -182,25 +182,51 @@ TEST(QueryParserTest, Errors) {
 
 // ---- pushdown shape -----------------------------------------------------
 
+// scan_plans() lists one plan per scan leaf, in PlanString() order; under
+// a cache each is the cache's own entry for its canonical text.
+void ExpectScans(const CompiledQuery& q, size_t n, const PlanCache* cache) {
+  const auto scans = q.scan_plans();
+  const std::string plan = q.PlanString();
+  ASSERT_EQ(scans.size(), n) << plan;
+  EXPECT_EQ(q.num_scans(), n);
+  size_t pos = 0;
+  for (const auto& scan : scans) {
+    const std::string leaf = "scan[" + scan->pattern() + "]";
+    pos = plan.find(leaf, pos);
+    ASSERT_NE(pos, std::string::npos) << leaf << " out of order in " << plan;
+    pos += leaf.size();
+    if (cache != nullptr)
+      EXPECT_EQ(cache->Peek(QueryPlanCacheKey(scan->pattern())), scan)
+          << leaf;
+  }
+}
+
+// The shape cases compile privately and again under a cache.
+void ExpectScans(const ExprPtr& e, size_t n) {
+  ExpectScans(MustCompile(e), n, nullptr);
+  PlanCache cache;
+  ExpectScans(MustCompile(e, &cache), n, &cache);
+}
+
 TEST(QueryCompileTest, UnionAndProjectionFuseIntoOneScan) {
   ExprPtr e = MustParse(
       "project(union(rgx(\"x{a} y{b*}\"), rgx(\"x{b} y{a*}\")), x)");
   CompiledQuery q = MustCompile(e);
-  EXPECT_EQ(q.num_scans(), 1u) << q.PlanString();
+  ExpectScans(e, 1);
   EXPECT_EQ(q.vars().ToString(), "{x}");
 }
 
 TEST(QueryCompileTest, JoinLowersToRelationalOperator) {
   ExprPtr e = MustParse("join(rgx(\"x{a*}.*\"), rgx(\".*y{b*}\"))");
   CompiledQuery q = MustCompile(e);
-  EXPECT_EQ(q.num_scans(), 2u);
+  ExpectScans(e, 2);
   EXPECT_EQ(q.PlanString().substr(0, 5), "join(");
 }
 
 TEST(QueryCompileTest, SelectEqLowersAboveScan) {
   ExprPtr e = MustParse("eq(rgx(\"x{[ab]*}c(y{[ab]*})\"), x, y)");
   CompiledQuery q = MustCompile(e);
-  EXPECT_EQ(q.num_scans(), 1u);
+  ExpectScans(e, 1);
   EXPECT_EQ(q.PlanString().substr(0, 10), "select_eq[");
 }
 
@@ -208,7 +234,7 @@ TEST(QueryCompileTest, UnionAboveJoinStaysRelationalOnThatBranch) {
   ExprPtr e = MustParse(
       "union(join(rgx(\"x{a}.*\"), rgx(\".*y{b}\")), rgx(\"x{b} y{a}\"))");
   CompiledQuery q = MustCompile(e);
-  EXPECT_EQ(q.num_scans(), 3u);
+  ExpectScans(e, 3);
   EXPECT_EQ(q.PlanString().substr(0, 6), "union(");
 }
 
@@ -348,7 +374,7 @@ TEST(QueryCacheTest, FusedSubtreesShareLeafCompilations) {
   PlanCache cache;
   ExprPtr u = MustParse("union(rgx(\"x{a}\"), rgx(\"x{b}\"))");
   CompiledQuery q = MustCompile(u, &cache);
-  EXPECT_EQ(q.num_scans(), 1u);
+  ExpectScans(q, 1, &cache);
   // Leaves were cached individually plus the fused scan.
   EXPECT_NE(cache.Peek(QueryPlanCacheKey("rgx(\"x{a}\")")), nullptr);
   EXPECT_NE(cache.Peek(QueryPlanCacheKey("union(rgx(\"x{a}\"), rgx(\"x{b}\"))")),

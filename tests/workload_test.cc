@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "automata/enumerate.h"
 #include "automata/run_eval.h"
@@ -191,6 +192,35 @@ TEST(FleetTest, CorpusIsReproducibleAndPerPatternSelective) {
     EXPECT_EQ(matched, with_needle) << p;
     EXPECT_LE(matched, 45u) << p;  // loose band around 5% of 300
   }
+}
+
+// A --generate spec is validated field by field: a malformed count is an
+// error, not a truncated number, and an explicit ROWS always counts, even
+// when it equals the default.
+TEST(CorpusSpecTest, RejectsMalformedCountsAndHonoursExplicitRows) {
+  for (const char* bad : {"fleet:abc", "needle:10x:2", "server-log:",
+                          "fleet:1:1:1:1", "fleet:-1", "nope:1"})
+    EXPECT_EQ(workload::CorpusFromSpec(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+
+  Result<workload::PatternFleet> bomb = workload::CorpusFromSpec("bomb:1:4");
+  ASSERT_TRUE(bomb.ok()) << bomb.status().ToString();
+  ASSERT_EQ(bomb->documents.size(), 1u);
+  EXPECT_EQ(bomb->documents[0].text().size(), 180u);  // 4 rows × 45 bytes
+  EXPECT_EQ(bomb->patterns,
+            std::vector<std::string>{workload::PathologicalRgxText()});
+
+  Result<workload::PatternFleet> fleet =
+      workload::CorpusFromSpec("fleet:10:2:3");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  EXPECT_EQ(fleet->documents.size(), 10u);
+  EXPECT_EQ(fleet->patterns.size(), 3u);
+
+  Result<workload::PatternFleet> log = workload::CorpusFromSpec("server-log");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(log->documents.size(), 1000u);  // the default DOCS
+  EXPECT_TRUE(log->patterns.empty());
 }
 
 TEST(ReductionTest, HamiltonianPathViaRelationalVa) {

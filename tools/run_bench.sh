@@ -13,10 +13,9 @@
 #   --out        output JSON path                  (default: BENCH_engine.json)
 #
 # The full run sweeps thread counts with 3 repetitions and reports
-# medians; docs/s, mappings/s, allocs/doc, cycles/byte land in the JSON
-# counters. Both modes additionally:
-#   - run the telemetry benches (cycles/byte via perf_event where the
-#     kernel allows it, and the paired metrics-overhead measurement) with
+# medians; docs/s, mappings/s, allocs/doc land in the JSON counters. Both
+# modes additionally:
+#   - run the paired metrics-overhead bench with
 #     9 repetitions, and GATE on the median: enabling telemetry may cost at
 #     most 2% of server-log throughput (same-machine paired comparison,
 #     so runner noise cannot flip it);
@@ -65,12 +64,12 @@ if [[ "$QUICK" == 1 ]]; then
   ARGS+=(--benchmark_filter='(BatchExtract|(MultiQuery|Sequential)[A-Za-z]*_Fleet).*/1/')
 else
   ARGS+=(--benchmark_repetitions=3 --benchmark_report_aggregates_only=true
-         --benchmark_filter="-CyclesPerByte|MetricsOverhead|CancelOverhead|$PAIRED")
+         --benchmark_filter="-MetricsOverhead|CancelOverhead|$PAIRED")
 fi
 
 "$BENCH" "${ARGS[@]}"
 
-# Telemetry benches always run with 9 repetitions: each overhead gate is
+# The telemetry bench always runs with 9 repetitions: its overhead gate is
 # the median of paired same-iteration measurements (sides alternate which
 # runs first). On a 4-vCPU VM a median of 3 swung by more than the 2%
 # bound between runs of the same code; a median of 9 stays inside it.
@@ -80,7 +79,7 @@ PAIRED_OUT="$(mktemp)"
 METRICS_OUT="$(mktemp)"
 SERVER_OUT="$(mktemp)"
 trap 'rm -f "$TELEM_OUT" "$CANCEL_OUT" "$PAIRED_OUT" "$METRICS_OUT" "$SERVER_OUT"' EXIT
-"$BENCH" --benchmark_filter='CyclesPerByte|MetricsOverhead' \
+"$BENCH" --benchmark_filter='MetricsOverhead' \
          --benchmark_min_time=1 --benchmark_repetitions=9 \
          --benchmark_report_aggregates_only=true \
          --benchmark_out="$TELEM_OUT" --benchmark_out_format=json
@@ -175,23 +174,13 @@ for name in sorted(tiers):
 
 # Telemetry overhead gate: median of the paired same-iteration
 # comparison must stay within 2%.
-overhead = perf = None
+overhead = None
 cancel_overheads = {}
 for b in telem["benchmarks"] + cancel["benchmarks"]:
     if "MetricsOverhead" in b["name"] and b["name"].endswith("_median"):
         overhead = b.get("overhead_pct")
     if "CancelOverhead" in b["name"] and b["name"].endswith("_median"):
         cancel_overheads[b["name"]] = b.get("overhead_pct")
-    if "CyclesPerByte" in b["name"] and b["name"].endswith("_median"):
-        perf = b
-if perf is not None:
-    if perf.get("perf_available"):
-        print(f'hardware cost: {perf.get("cycles/byte", 0):.1f} cycles/byte, '
-              f'{perf.get("instr/byte", 0):.1f} instr/byte, '
-              f'{100.0 * perf.get("branch_miss_rate", 0):.2f}% branch misses')
-    else:
-        print("hardware cost: perf_event_open unavailable here "
-              "(cycles/byte not measured)")
 if overhead is None:
     sys.exit("FAIL: BM_MetricsOverhead_ServerLog produced no median")
 print(f'telemetry overhead (enabled vs disabled, paired median): '

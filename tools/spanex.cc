@@ -42,10 +42,11 @@
 //   -0, --null               documents are NUL-delimited, not newline
 //   --no-header              suppress the TSV header row
 //   --stats[=json]           print plan/batch statistics to stderr (per
-//                            plan for multi-query runs); =json emits one
-//                            machine-readable JSON object instead
+//                            plan for multi-query runs, per scan plan
+//                            for -q); =json emits one machine-readable
+//                            JSON object instead
 //   --metrics[=json]         --stats plus the full telemetry snapshot
-//                            (per-tier time histograms, cache counters);
+//                            (per-tier time histograms);
 //                            enables metric recording for the run
 //   --trace FILE             record per-document/per-tier timing spans
 //                            into a bounded ring and write them to FILE
@@ -105,6 +106,7 @@
 // Output robustness: SIGPIPE is ignored and every stdout write is checked
 // (engine::CheckedWriter), so `spanex ... | head` exits cleanly instead of
 // dying mid-stream, and real write failures (full disk) are reported.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -116,6 +118,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/parse.h"
 #include "engine/engine.h"
 #include "engine/report.h"
 #include "engine/thread_pool.h"
@@ -297,6 +300,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto need_count = [&](const char* flag, size_t max) -> size_t {
+      const char* value = need_value(flag);
+      size_t parsed = 0;
+      if (!ParseCount(value, max, &parsed)) {
+        std::cerr << "spanex: " << flag << " expects a count in [0, " << max
+                  << "], got '" << value << "'\n";
+        std::exit(2);
+      }
+      return parsed;
+    };
     if (arg == "-h" || arg == "--help") return Usage(argv[0], 0);
     if (arg == "-p" || arg == "-e" || arg == "--pattern") {
       patterns.push_back(need_value("--pattern"));
@@ -345,16 +358,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "-j" || arg == "--threads") {
-      const char* value = need_value("--threads");
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(value, &end, 10);
-      if (*value == '\0' || *end != '\0' || value[0] == '-' ||
-          parsed > 4096) {
-        std::cerr << "spanex: --threads expects a count in [0, 4096], got '"
-                  << value << "'\n";
-        return 2;
-      }
-      threads = static_cast<size_t>(parsed);
+      threads = need_count("--threads", 4096);
     } else if (arg == "-0" || arg == "--null") {
       delimiter = '\0';
     } else if (arg == "--no-header") {
@@ -384,41 +388,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect") {
       connect_path = need_value("--connect");
     } else if (arg == "--retries") {
-      const char* value = need_value("--retries");
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(value, &end, 10);
-      if (*value == '\0' || *end != '\0' || value[0] == '-' ||
-          parsed > 1000) {
-        std::cerr << "spanex: --retries expects a count in [0, 1000], got '"
-                  << value << "'\n";
-        return 2;
-      }
-      retry.max_retries = static_cast<uint32_t>(parsed);
+      retry.max_retries =
+          static_cast<uint32_t>(need_count("--retries", 1000));
     } else if (arg == "--connect-timeout-ms") {
-      const char* value = need_value("--connect-timeout-ms");
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(value, &end, 10);
-      if (*value == '\0' || *end != '\0' || value[0] == '-' ||
-          parsed > (1u << 30)) {
-        std::cerr << "spanex: --connect-timeout-ms expects a count in "
-                     "[0, 2^30], got '"
-                  << value << "'\n";
-        return 2;
-      }
-      copts.connect_timeout_ms = static_cast<uint32_t>(parsed);
+      copts.connect_timeout_ms =
+          static_cast<uint32_t>(need_count("--connect-timeout-ms", 1u << 30));
       connect_flags_used = true;
     } else if (arg == "--io-timeout-ms") {
-      const char* value = need_value("--io-timeout-ms");
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(value, &end, 10);
-      if (*value == '\0' || *end != '\0' || value[0] == '-' ||
-          parsed > (1u << 30)) {
-        std::cerr << "spanex: --io-timeout-ms expects a count in [0, 2^30], "
-                     "got '"
-                  << value << "'\n";
-        return 2;
-      }
-      copts.io_timeout_ms = static_cast<uint32_t>(parsed);
+      copts.io_timeout_ms =
+          static_cast<uint32_t>(need_count("--io-timeout-ms", 1u << 30));
       connect_flags_used = true;
     } else if (arg == "--drain") {
       drain = true;
@@ -481,85 +459,32 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!generate.empty()) {
-    workload::CorpusOptions o;
-    std::string kind = generate;
-    size_t fleet_patterns = 32;
-    size_t colon = kind.find(':');
-    if (colon != std::string::npos) {
-      std::string rest = kind.substr(colon + 1);
-      kind = kind.substr(0, colon);
-      size_t colon2 = rest.find(':');
-      o.documents = std::strtoul(rest.c_str(), nullptr, 10);
-      if (colon2 != std::string::npos) {
-        o.rows_per_document =
-            std::strtoul(rest.c_str() + colon2 + 1, nullptr, 10);
-        size_t colon3 = rest.find(':', colon2 + 1);
-        if (colon3 != std::string::npos)
-          fleet_patterns = std::strtoul(rest.c_str() + colon3 + 1, nullptr,
-                                        10);
-      }
-    }
-    if (kind == "land-registry") {
-      corpus = Corpus(workload::LandRegistryCorpus(o));
-    } else if (kind == "server-log") {
-      corpus = Corpus(workload::ServerLogCorpus(o));
-    } else if (kind == "needle") {
-      // Low-selectivity corpus: ROWS filler lines (~45 bytes each), 1% of
-      // documents carry the needle line NeedleRgx() extracts.
-      workload::NeedleOptions no;
-      no.documents = o.documents;
-      no.doc_bytes = o.rows_per_document * 45;
-      corpus = Corpus(workload::NeedleCorpus(no));
-    } else if (kind == "fleet") {
-      // PATTERNS independent 1%-selectivity needle queries over one
-      // shared corpus — the multi-query workload. Without explicit
-      // patterns/query, the fleet's own patterns are extracted.
-      workload::FleetOptions fo;
-      fo.documents = o.documents;
-      fo.doc_bytes = o.rows_per_document * 45;
-      fo.num_patterns = fleet_patterns == 0 ? 1 : fleet_patterns;
-      workload::PatternFleet fleet = workload::MakePatternFleet(fo);
-      corpus = Corpus(std::move(fleet.documents));
-      if (patterns.empty() && !have_query)
-        patterns = std::move(fleet.patterns);
-    } else if (kind == "bomb") {
-      // The pathological cancellation workload: all-'a' documents whose
-      // matching pattern enumerates Θ(n²) spans per document. Without
-      // explicit patterns/query, the poison pattern itself is extracted.
-      workload::BombOptions bo;
-      bo.documents = o.documents;
-      if (o.rows_per_document != 4)  // explicit ROWS overrides the default
-        bo.doc_bytes = o.rows_per_document * 45;
-      corpus = Corpus(workload::BombCorpus(bo));
-      if (patterns.empty() && !have_query)
-        patterns.push_back(workload::PathologicalRgxText());
-    } else {
-      std::cerr << "spanex: unknown --generate kind '" << kind
-                << "' (expected land-registry, server-log, needle, fleet "
-                   "or bomb)\n";
+    // Without explicit patterns/query, a fleet's own patterns (or bomb's
+    // poison pattern) are extracted.
+    Result<workload::PatternFleet> generated =
+        workload::CorpusFromSpec(generate);
+    if (!generated.ok()) {
+      std::cerr << "spanex: --generate: " << generated.status().message()
+                << "\n";
       return 2;
     }
+    corpus = Corpus(std::move(generated->documents));
+    if (patterns.empty() && !have_query)
+      patterns = std::move(generated->patterns);
   }
   if (patterns.empty() && !have_query && save_corpus.empty()) {
     std::cerr << "spanex: missing -p/--pattern, -f/--pattern-file, "
                  "--patterns-file, -q/--query or --query-file\n";
     return Usage(argv[0], 2);
   }
-  if (generate.empty() && corpus_path.empty() && files.empty())
-    files.push_back("-");
-  for (const std::string& path : files) {
-    Corpus part;
-    if (path == "-") {
-      part = Corpus::FromStream(std::cin, delimiter);
-    } else {
-      Result<Corpus> loaded = Corpus::FromFile(path, delimiter);
-      if (!loaded.ok()) {
-        std::cerr << "spanex: " << loaded.status().ToString() << "\n";
-        return 2;
-      }
-      part = std::move(loaded).value();
+  if (generate.empty() && corpus_path.empty()) {
+    if (files.empty()) files.push_back("-");
+    Result<Corpus> loaded = Corpus::FromFiles(files, delimiter);
+    if (!loaded.ok()) {
+      std::cerr << "spanex: " << loaded.status().ToString() << "\n";
+      return 2;
     }
-    corpus.Append(std::move(part));
+    corpus = std::move(loaded).value();
   }
 
   // Persist-and-exit mode: write the loaded corpus as a checksummed
@@ -797,12 +722,19 @@ int main(int argc, char** argv) {
 
     EngineReport report;
     if (!compiled.has_value()) {
-      const ExtractionPlan& plan = *plans[0];
-      report.plans.push_back(PlanReport{"", plan.info().ToString(),
-                                        plan.stats(),
-                                        plan.lazy_dfa().stats()});
+      report.AddPlan("", *plans[0]);
     } else {
+      // One line per distinct scan plan, from its own record; a plan two
+      // scans share counts both.
       report.query_plan = compiled->PlanString();
+      std::vector<const ExtractionPlan*> listed;
+      for (const auto& scan : compiled->scan_plans()) {
+        if (std::find(listed.begin(), listed.end(), scan.get()) !=
+            listed.end())
+          continue;
+        report.AddPlan("s" + std::to_string(listed.size()), *scan);
+        listed.push_back(scan.get());
+      }
       report.have_cache = true;
       report.cache = cache.stats();
     }

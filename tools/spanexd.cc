@@ -35,7 +35,8 @@
 //   --generate KIND[:DOCS[:ROWS[:PATTERNS]]]
 //                            synthesize the corpus with the workload
 //                            generators (land-registry, server-log,
-//                            needle, fleet) instead of reading files
+//                            needle, fleet, bomb) instead of reading
+//                            files
 //   -j, --threads N          threads that extract, the caller (the
 //                            executor thread) included (default: hardware
 //                            concurrency; 1 starts no pool thread)
@@ -75,6 +76,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/parse.h"
 #include "engine/corpus.h"
 #include "obs/metrics.h"
 #include "server/server.h"
@@ -108,15 +110,6 @@ int Usage(const char* argv0, int code) {
          "socket: clients register plans, extract documents or the held\n"
          "corpus, and drain the server (see README \"Server mode\").\n";
   return code;
-}
-
-bool ParseCount(const char* value, size_t max, size_t* out) {
-  char* end = nullptr;
-  unsigned long parsed = std::strtoul(value, &end, 10);
-  if (*value == '\0' || *end != '\0' || value[0] == '-' || parsed > max)
-    return false;
-  *out = static_cast<size_t>(parsed);
-  return true;
 }
 
 }  // namespace
@@ -267,71 +260,27 @@ int main(int argc, char** argv) {
   } else {
     engine::Corpus corpus;
     if (!generate.empty()) {
-      workload::CorpusOptions o;
-      std::string kind = generate;
-      size_t fleet_patterns = 32;
-      size_t colon = kind.find(':');
-      if (colon != std::string::npos) {
-        std::string rest = kind.substr(colon + 1);
-        kind = kind.substr(0, colon);
-        size_t colon2 = rest.find(':');
-        o.documents = std::strtoul(rest.c_str(), nullptr, 10);
-        if (colon2 != std::string::npos) {
-          o.rows_per_document =
-              std::strtoul(rest.c_str() + colon2 + 1, nullptr, 10);
-          size_t colon3 = rest.find(':', colon2 + 1);
-          if (colon3 != std::string::npos)
-            fleet_patterns =
-                std::strtoul(rest.c_str() + colon3 + 1, nullptr, 10);
-        }
-      }
-      if (kind == "land-registry") {
-        corpus = engine::Corpus(workload::LandRegistryCorpus(o));
-      } else if (kind == "server-log") {
-        corpus = engine::Corpus(workload::ServerLogCorpus(o));
-      } else if (kind == "needle") {
-        workload::NeedleOptions no;
-        no.documents = o.documents;
-        no.doc_bytes = o.rows_per_document * 45;
-        corpus = engine::Corpus(workload::NeedleCorpus(no));
-      } else if (kind == "fleet") {
-        workload::FleetOptions fo;
-        fo.documents = o.documents;
-        fo.doc_bytes = o.rows_per_document * 45;
-        fo.num_patterns = fleet_patterns == 0 ? 1 : fleet_patterns;
-        corpus = engine::Corpus(workload::MakePatternFleet(fo).documents);
-      } else if (kind == "bomb") {
-        // Θ(n²)-mappings-per-document cancellation workload; a client
-        // registering workload::PathologicalRgxText() against it proves
-        // deadlines/caps abort running work.
-        workload::BombOptions bo;
-        bo.documents = o.documents;
-        if (o.rows_per_document != 4)
-          bo.doc_bytes = o.rows_per_document * 45;
-        corpus = engine::Corpus(workload::BombCorpus(bo));
-      } else {
-        std::cerr << "spanexd: unknown --generate kind '" << kind
-                  << "' (expected land-registry, server-log, needle, "
-                     "fleet or bomb)\n";
+      // The server holds the documents only; clients register patterns.
+      // Against a bomb corpus, a client registering
+      // workload::PathologicalRgxText() proves deadlines and caps abort
+      // running work.
+      Result<workload::PatternFleet> generated =
+          workload::CorpusFromSpec(generate);
+      if (!generated.ok()) {
+        std::cerr << "spanexd: --generate: " << generated.status().message()
+                  << "\n";
         return 2;
       }
+      corpus = engine::Corpus(std::move(generated->documents));
     } else {
       if (files.empty()) files.push_back("-");
-      for (const std::string& path : files) {
-        engine::Corpus part;
-        if (path == "-") {
-          part = engine::Corpus::FromStream(std::cin, delimiter);
-        } else {
-          Result<engine::Corpus> loaded =
-              engine::Corpus::FromFile(path, delimiter);
-          if (!loaded.ok()) {
-            std::cerr << "spanexd: " << loaded.status().ToString() << "\n";
-            return 2;
-          }
-          part = std::move(loaded).value();
-        }
-        corpus.Append(std::move(part));
+      Result<engine::Corpus> loaded =
+          engine::Corpus::FromFiles(files, delimiter);
+      if (!loaded.ok()) {
+        std::cerr << "spanexd: " << loaded.status().ToString() << "\n";
+        return 2;
       }
+      corpus = std::move(loaded).value();
     }
     std::cerr << "spanexd: serving " << corpus.size()
               << " in-memory docs\n";
