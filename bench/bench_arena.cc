@@ -11,6 +11,7 @@
 #include "common/arena.h"
 #include "core/document.h"
 #include "core/mapping.h"
+#include "core/mapping_sink.h"
 #include "core/spanner.h"
 
 namespace {
@@ -222,9 +223,10 @@ void BM_RunEval_ArenaReused(benchmark::State& state) {
                "case,Seller: Bob Dylan,price 200\n");
   Arena arena;
   std::vector<Mapping> out;
+  VectorSink sink(&out);
   for (auto _ : state) {
     out.clear();
-    s.ExtractAllInto(Spanner::Evaluator::kRunEnumeration, doc, &arena, &out);
+    s.ExtractTo(Spanner::Evaluator::kRunEnumeration, doc, &arena, sink);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
@@ -237,10 +239,11 @@ void BM_RunEval_FreshArena(benchmark::State& state) {
   Document doc("case,Seller: Alice Cooper,price 100\n"
                "case,Seller: Bob Dylan,price 200\n");
   std::vector<Mapping> out;
+  VectorSink sink(&out);
   for (auto _ : state) {
     Arena arena;
     out.clear();
-    s.ExtractAllInto(Spanner::Evaluator::kRunEnumeration, doc, &arena, &out);
+    s.ExtractTo(Spanner::Evaluator::kRunEnumeration, doc, &arena, sink);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());

@@ -82,8 +82,9 @@ void BM_BatchExtract_LandRegistry(benchmark::State& state) {
   bo.min_docs_per_shard = 8;
   BatchExtractor extractor(bo);
 
-  // The serving loop refills one BatchResult (ExtractInto), so steady
-  // state recycles every per-doc vector and pooled mapping.
+  // Refills one BatchResult (ExtractInto), as a repeated caller does; its
+  // hits are replaced, so each matched document's hit vector and mapping
+  // entries are allocated afresh and counted in allocs/doc.
   BatchResult result;
   extractor.ExtractInto(plan, corpus, &result);  // warm-up, not counted
   uint64_t mappings = 0;

@@ -46,10 +46,6 @@ class MappingEnumerator {
   /// Drains the enumerator into a set.
   MappingSet Drain();
 
-  /// Drains into a vector (each mapping is produced exactly once, so no
-  /// dedup structure is needed).
-  void DrainTo(std::vector<Mapping>* out);
-
   /// Drains into a sink, drawing result storage from the sink's pool and
   /// stopping early when a Push returns false.
   void DrainTo(MappingSink& sink);
@@ -85,16 +81,11 @@ MappingSet EnumerateSequential(const VA& a, const Document& doc);
 /// ⟦A⟧_doc for arbitrary VA via the FPT evaluator (Theorem 5.10 + 5.1).
 MappingSet EnumerateVa(const VA& a, const Document& doc);
 
-/// Arena-backed variants: `scratch` supplies the oracle's transient memory
-/// (it is Reset() between oracle calls); results are appended to *out.
-void EnumerateSequentialInto(const VA& a, const Document& doc, Arena* scratch,
-                             std::vector<Mapping>* out);
-void EnumerateVaInto(const VA& a, const Document& doc, Arena* scratch,
-                     std::vector<Mapping>* out);
-
-/// Streaming variants of the same: results are pushed into `sink`. A
-/// tripped `cancel` token ends the stream early; rows already pushed are
-/// the caller's to discard (the request surfaces only the error Status).
+/// Arena-backed streaming variants: `scratch` supplies the oracle's
+/// transient memory (it is Reset() between oracle calls); results are
+/// pushed into `sink`. A tripped `cancel` token ends the stream early;
+/// rows already pushed are the caller's to discard (the request surfaces
+/// only the error Status).
 void EnumerateSequentialTo(const VA& a, const Document& doc, Arena* scratch,
                            MappingSink& sink, CancelToken* cancel = nullptr);
 void EnumerateVaTo(const VA& a, const Document& doc, Arena* scratch,

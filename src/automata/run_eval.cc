@@ -200,37 +200,20 @@ void RunEvalTo(const VA& a, const Document& doc, Arena* arena,
             vars != nullptr ? vars->ids() : a.Vars().ids(), cancel);
 }
 
-void RunEvalStackTo(const VA& a, const Document& doc, Arena* arena,
-                    MappingSink& sink, const VarSet* vars,
-                    CancelToken* cancel) {
-  arena->Reset();
-  ExploreTo(a, doc, /*stack_discipline=*/true, *arena, sink,
-            vars != nullptr ? vars->ids() : a.Vars().ids(), cancel);
-}
-
-void RunEvalInto(const VA& a, const Document& doc, Arena* arena,
-                 std::vector<Mapping>* out) {
-  VectorSink sink(out);
-  RunEvalTo(a, doc, arena, sink);
-}
-
-void RunEvalStackInto(const VA& a, const Document& doc, Arena* arena,
-                      std::vector<Mapping>* out) {
-  VectorSink sink(out);
-  RunEvalStackTo(a, doc, arena, sink);
-}
-
 MappingSet RunEval(const VA& a, const Document& doc) {
   Arena arena;
   std::vector<Mapping> out;
-  RunEvalInto(a, doc, &arena, &out);
+  VectorSink sink(&out);
+  RunEvalTo(a, doc, &arena, sink);
   return MappingSet(std::move(out));
 }
 
 MappingSet RunEvalStack(const VA& a, const Document& doc) {
   Arena arena;
   std::vector<Mapping> out;
-  RunEvalStackInto(a, doc, &arena, &out);
+  VectorSink sink(&out);
+  ExploreTo(a, doc, /*stack_discipline=*/true, arena, sink, a.Vars().ids(),
+            /*cancel=*/nullptr);
   return MappingSet(std::move(out));
 }
 

@@ -24,18 +24,11 @@ MappingSet RunEval(const VA& a, const Document& doc);
 /// opened, still-open variable may be closed.
 MappingSet RunEvalStack(const VA& a, const Document& doc);
 
-/// Arena-backed cores: `arena` is scratch (Reset() on entry — do not keep
-/// live allocations in it across the call); the unique result mappings are
-/// appended to *out in unspecified but deterministic order. Reusing one
-/// arena across documents makes steady-state evaluation allocation-free.
-void RunEvalInto(const VA& a, const Document& doc, Arena* arena,
-                 std::vector<Mapping>* out);
-void RunEvalStackInto(const VA& a, const Document& doc, Arena* arena,
-                      std::vector<Mapping>* out);
-
-/// Streaming cores: each unique result mapping is pushed into `sink` (in
-/// unspecified but deterministic order), built from the sink's pool when
-/// one is attached. The Into variants above are VectorSink wrappers.
+/// Streaming core of RunEval: `arena` is scratch (Reset() on entry — do
+/// not keep live allocations in it across the call; reusing one arena
+/// across documents makes steady-state evaluation allocation-free), and
+/// each unique result mapping is pushed into `sink` (in unspecified but
+/// deterministic order), built from the sink's pool when one is attached.
 /// `vars`, when given, must equal a.Vars(); callers that precompute it
 /// (Spanner) save the per-document recomputation on the hot path.
 /// A tripped `cancel` token aborts the configuration search; partial
@@ -44,9 +37,6 @@ void RunEvalStackInto(const VA& a, const Document& doc, Arena* arena,
 void RunEvalTo(const VA& a, const Document& doc, Arena* arena,
                MappingSink& sink, const VarSet* vars = nullptr,
                CancelToken* cancel = nullptr);
-void RunEvalStackTo(const VA& a, const Document& doc, Arena* arena,
-                    MappingSink& sink, const VarSet* vars = nullptr,
-                    CancelToken* cancel = nullptr);
 
 /// True iff A produces only hierarchical mappings on `doc`.
 bool IsHierarchicalOn(const VA& a, const Document& doc);

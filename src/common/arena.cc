@@ -79,10 +79,6 @@ struct Group {
     return static_cast<uint32_t>(_mm_movemask_epi8(
         _mm_cmpeq_epi8(ctrl, _mm_set1_epi8(static_cast<char>(byte)))));
   }
-  // Empty and deleted are the only control values with the high bit set.
-  uint32_t MatchEmptyOrDeleted() const {
-    return static_cast<uint32_t>(_mm_movemask_epi8(ctrl));
-  }
   bool HasEmpty() const { return Match(kCtrlEmpty) != 0; }
 };
 
@@ -114,7 +110,6 @@ struct Group {
     uint64_t x = ctrl ^ (kLsbs * byte);
     return (x - kLsbs) & ~x & kMsbs;
   }
-  uint64_t MatchEmptyOrDeleted() const { return ctrl & kMsbs; }
   bool HasEmpty() const { return Match(kCtrlEmpty) != 0; }
 };
 
@@ -125,11 +120,11 @@ inline uint64_t ClearLowestBit(uint64_t mask) { return mask & (mask - 1); }
 
 #endif
 
-// First slot of `group` whose control byte is empty or deleted (exact
-// scalar scan; used only to pick insertion slots).
+// First empty slot of `group` (exact scalar scan; used only to pick
+// insertion slots).
 inline size_t FirstFreeInGroup(const uint8_t* ctrl, size_t group_base) {
   for (size_t i = 0; i < kGroupWidth; ++i)
-    if (ctrl[group_base + i] >= kCtrlEmpty) return group_base + i;
+    if (ctrl[group_base + i] == kCtrlEmpty) return group_base + i;
   return SIZE_MAX;
 }
 
@@ -173,7 +168,7 @@ std::pair<const char*, bool> FlatKeySet::InsertHashed(uint64_t hash,
     }
     if (group.HasEmpty()) {
       // This is the first group with an empty slot on the probe path, so
-      // the key is absent and belongs here (the set never deletes).
+      // the key is absent and belongs here (neither set deletes).
       const size_t idx = FirstFreeInGroup(ctrl_, base);
       char* copy = arena_->AllocateArray<char>(len);
       CopyBytes(copy, bytes, len);
@@ -221,8 +216,8 @@ FlatMappingSet::FlatMappingSet(Arena* arena, size_t initial_capacity)
   ctrl_ = NewCtrl(arena_, capacity_);
 }
 
-size_t FlatMappingSet::Find(uint64_t hash, const SpanTuple* tuples,
-                            uint32_t n) const {
+bool FlatMappingSet::Contains(const SpanTuple* tuples, uint32_t n) const {
+  const uint64_t hash = Hash(tuples, n);
   const uint8_t h2 = H2(hash);
   const size_t group_mask = capacity_ / kGroupWidth - 1;
   size_t g = H1(hash) & group_mask;
@@ -234,27 +229,20 @@ size_t FlatMappingSet::Find(uint64_t hash, const SpanTuple* tuples,
       const Slot& s = slots_[idx];
       if (ctrl_[idx] == h2 && s.hash == hash && s.len == n &&
           BytesEqual(s.tuples, tuples, n * sizeof(SpanTuple)))
-        return idx;
+        return true;
     }
-    // An empty control byte terminates the probe sequence in every
-    // layout; tombstones do not (the key may live beyond them).
-    if (group.HasEmpty()) return SIZE_MAX;
+    if (group.HasEmpty()) return false;  // an empty slot ends the probe
     g = (g + 1) & group_mask;
   }
 }
 
-bool FlatMappingSet::Contains(const SpanTuple* tuples, uint32_t n) const {
-  return Find(Hash(tuples, n), tuples, n) != SIZE_MAX;
-}
-
 bool FlatMappingSet::InsertHashed(uint64_t hash, const SpanTuple* tuples,
                                   uint32_t n) {
-  if ((size_ + tombstones_ + 1) * 8 >= capacity_ * 7) Rehash(capacity_ * 2);
+  if ((size_ + 1) * 8 >= capacity_ * 7) Rehash(capacity_ * 2);
 
   const uint8_t h2 = H2(hash);
   const size_t group_mask = capacity_ / kGroupWidth - 1;
   size_t g = H1(hash) & group_mask;
-  size_t insert_idx = SIZE_MAX;  // first tombstone seen on the probe path
   for (;;) {
     const size_t base = g * kGroupWidth;
     Group group = Group::Load(ctrl_ + base);
@@ -265,35 +253,17 @@ bool FlatMappingSet::InsertHashed(uint64_t hash, const SpanTuple* tuples,
           BytesEqual(s.tuples, tuples, n * sizeof(SpanTuple)))
         return false;
     }
-    if (insert_idx == SIZE_MAX && group.MatchEmptyOrDeleted() != 0) {
-      for (size_t i = 0; i < kGroupWidth; ++i) {
-        if (ctrl_[base + i] == kCtrlDeleted) {
-          insert_idx = base + i;
-          break;
-        }
-      }
-    }
     if (group.HasEmpty()) {
-      if (insert_idx == SIZE_MAX) insert_idx = FirstFreeInGroup(ctrl_, base);
-      if (ctrl_[insert_idx] == kCtrlDeleted) --tombstones_;
+      const size_t idx = FirstFreeInGroup(ctrl_, base);
       SpanTuple* copy = arena_->AllocateArray<SpanTuple>(n);
       CopyBytes(copy, tuples, n * sizeof(SpanTuple));
-      slots_[insert_idx] = Slot{hash, copy, n};
-      ctrl_[insert_idx] = h2;
+      slots_[idx] = Slot{hash, copy, n};
+      ctrl_[idx] = h2;
       ++size_;
       return true;
     }
     g = (g + 1) & group_mask;
   }
-}
-
-bool FlatMappingSet::Erase(const SpanTuple* tuples, uint32_t n) {
-  size_t idx = Find(Hash(tuples, n), tuples, n);
-  if (idx == SIZE_MAX) return false;
-  ctrl_[idx] = kCtrlDeleted;
-  --size_;
-  ++tombstones_;
-  return true;
 }
 
 void FlatMappingSet::Rehash(size_t new_capacity) {
@@ -303,7 +273,6 @@ void FlatMappingSet::Rehash(size_t new_capacity) {
   capacity_ = new_capacity;
   slots_ = arena_->AllocateArray<Slot>(capacity_);
   ctrl_ = NewCtrl(arena_, capacity_);
-  tombstones_ = 0;  // swept: only live slots are reinserted
   ++rehashes_;
 
   const size_t group_mask = capacity_ / kGroupWidth - 1;

@@ -195,16 +195,14 @@ inline uint64_t HashBytes64(const void* data, size_t n) {
 
 // ---- group-probed flat sets (SwissTable-style) --------------------------
 // Both flat sets keep a control byte per slot in a separate dense array:
-// 0x80 = empty, 0xFE = deleted (tombstone), otherwise the low 7 bits of
-// the key's hash ("H2"). Probing inspects the control bytes a *group* at
-// a time — 16 bytes with one SSE2 compare, 8 bytes with a SWAR trick on
-// a uint64 load — so a lookup touches the wide Slot array only for the
-// rare control-byte candidates, instead of walking Slot-sized strides.
+// 0x80 = empty, otherwise the low 7 bits of the key's hash ("H2").
+// Probing inspects the control bytes a *group* at a time — 16 bytes with
+// one SSE2 compare, 8 bytes with a SWAR trick on a uint64 load — so a
+// lookup touches the wide Slot array only for the rare control-byte
+// candidates, instead of walking Slot-sized strides.
 
 /// Control byte marking an empty slot (high bit set, never equals an H2).
 inline constexpr uint8_t kCtrlEmpty = 0x80;
-/// Control byte marking a tombstone.
-inline constexpr uint8_t kCtrlDeleted = 0xFE;
 
 /// An insert-only set of byte strings with group-probed open addressing.
 /// Key bytes are copied once into the arena; Insert returns a pointer to
@@ -256,12 +254,9 @@ struct SpanTuple {
   }
 };
 
-/// A deduplicating set of span-tuple lists (flat mappings): group-probed
-/// open addressing with precomputed tuple hashing and tombstone-based
-/// erase. Tuple storage, the slot table and the control bytes all live in
-/// the arena. Erasing plants a tombstone (kCtrlDeleted); inserts reuse
-/// the first tombstone on their probe path and rehashes sweep the rest,
-/// so lookups stay one group-compare per probe step in every layout.
+/// An insert-only deduplicating set of span-tuple lists (flat mappings):
+/// group-probed open addressing with precomputed tuple hashing. Tuple
+/// storage, the slot table and the control bytes all live in the arena.
 class FlatMappingSet {
  public:
   explicit FlatMappingSet(Arena* arena, size_t initial_capacity = 32);
@@ -274,12 +269,9 @@ class FlatMappingSet {
   bool InsertHashed(uint64_t hash, const SpanTuple* tuples, uint32_t n);
 
   bool Contains(const SpanTuple* tuples, uint32_t n) const;
-  /// Removes the mapping; returns true when it was present.
-  bool Erase(const SpanTuple* tuples, uint32_t n);
 
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
-  size_t tombstones() const { return tombstones_; }
   size_t rehash_count() const { return rehashes_; }
 
   /// Visits every stored mapping as (const SpanTuple*, uint32_t count).
@@ -301,8 +293,6 @@ class FlatMappingSet {
     uint32_t len;
   };
 
-  // Probe index of an existing element, or SIZE_MAX.
-  size_t Find(uint64_t hash, const SpanTuple* tuples, uint32_t n) const;
   void Rehash(size_t new_capacity);
 
   Arena* arena_;
@@ -310,7 +300,6 @@ class FlatMappingSet {
   uint8_t* ctrl_;    // capacity_ control bytes
   size_t capacity_;  // power of two, ≥ the probe group width
   size_t size_ = 0;
-  size_t tombstones_ = 0;
   size_t rehashes_ = 0;
 };
 

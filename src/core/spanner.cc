@@ -53,14 +53,9 @@ MappingSet Spanner::ExtractAllWith(Evaluator evaluator,
                                    const Document& doc) const {
   Arena arena;
   std::vector<Mapping> out;
-  ExtractAllInto(evaluator, doc, &arena, &out);
+  VectorSink sink(&out);
+  ExtractTo(evaluator, doc, &arena, sink);
   return MappingSet(std::move(out));
-}
-
-void Spanner::ExtractAllInto(Evaluator evaluator, const Document& doc,
-                             Arena* arena, std::vector<Mapping>* out) const {
-  VectorSink sink(out);
-  ExtractTo(evaluator, doc, arena, sink);
 }
 
 void Spanner::ExtractTo(Evaluator evaluator, const Document& doc, Arena* arena,

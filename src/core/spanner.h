@@ -71,17 +71,12 @@ class Spanner {
   /// Spanner may serve concurrent extractions.
   MappingSet ExtractAllWith(Evaluator evaluator, const Document& doc) const;
 
-  /// Arena-backed extraction: `arena` supplies every transient structure
-  /// (it is treated as scratch and Reset() inside — one arena per thread,
-  /// reused across documents); the unique result mappings are appended to
-  /// *out in unspecified order. This is the engine's hot path.
-  void ExtractAllInto(Evaluator evaluator, const Document& doc, Arena* arena,
-                      std::vector<Mapping>* out) const;
-
   /// Push-based extraction: every unique result mapping is streamed into
-  /// `sink`, built from the sink's pool when one is attached. `arena` is
-  /// scratch exactly as in ExtractAllInto. This is the primitive the
-  /// algebra operators (src/query/) and the engine compose.
+  /// `sink`, built from the sink's pool when one is attached. `arena`
+  /// supplies every transient structure (it is treated as scratch and
+  /// Reset() inside — one arena per thread, reused across documents).
+  /// This is the primitive the algebra operators (src/query/) and the
+  /// engine compose.
   /// A tripped `cancel` token aborts mid-extraction; rows already pushed
   /// into the sink are partial output the caller must discard (check the
   /// token after the call — a tripped token invalidates the sink).

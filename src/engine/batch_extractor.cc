@@ -15,10 +15,6 @@ namespace engine {
 
 namespace {
 
-/// Emptied hit vectors one thread keeps for its next hits; like
-/// MappingPool's bound, it caps what one huge result leaves behind.
-constexpr size_t kMaxSpareVectors = 4096;
-
 /// Whole-document wall time (gate + evaluator + sort), one observation per
 /// (document, extractor) — and per (document, fleet) in multi mode, where
 /// a single observation covers every resident plan. Trace events carry the
@@ -232,30 +228,6 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
     ThreadState& state = *threads_[thread];
     PlanScratch& scratch = state.scratch;
     scratch.cancel = cancel_;  // unconditionally: clears stale tokens too
-    if (results != nullptr) {
-      // A reused result's hits on this shard's documents — from its first
-      // up to the next shard's first — come back to this thread: mappings
-      // to the pool, vectors to the spares, last first, so that hits on
-      // the same documents take their own vectors back in order.
-      const size_t from = s == 0 ? 0 : source.id(shard.begin);
-      const size_t to =
-          s + 1 == shards.size() ? SIZE_MAX : source.id(shards[s + 1].begin);
-      auto before = [](const HitList::Hit& hit, size_t doc) {
-        return hit.doc < doc;
-      };
-      for (size_t o = 0; o < outputs; ++o) {
-        std::vector<HitList::Hit>& old = results[o].per_doc.hits_;
-        const auto first =
-            std::lower_bound(old.begin(), old.end(), from, before);
-        for (auto it = std::lower_bound(first, old.end(), to, before);
-             it != first;) {
-          --it;
-          scratch.pool.RecycleAll(&it->mappings);
-          if (state.spare.size() < kMaxSpareVectors)
-            state.spare.push_back(std::move(it->mappings));
-        }
-      }
-    }
     if (state.slots.size() < outputs) {
       state.slots.resize(outputs);
       state.slot_ptrs.clear();
@@ -274,20 +246,15 @@ BatchExtractor::StreamStats BatchExtractor::Drive(
                &counted) == 0)
         continue;
       ++shard_matched;
-      // Only this document's non-empty slots move out, into a spare: the
-      // slot keeps its capacity for the next document.
+      // Only this document's non-empty slots move out, into an exactly
+      // sized vector: the slot keeps its capacity for the next document.
       for (size_t o = 0; o < outputs; ++o) {
         std::vector<Mapping>& out = state.slots[o];
         if (out.empty()) continue;
-        std::vector<Mapping> mappings;
-        if (!state.spare.empty()) {
-          mappings = std::move(state.spare.back());
-          state.spare.pop_back();
-        }
-        mappings.assign(std::make_move_iterator(out.begin()),
-                        std::make_move_iterator(out.end()));
+        hits.push_back(ShardHit{o, j,
+                                {std::make_move_iterator(out.begin()),
+                                 std::make_move_iterator(out.end())}});
         out.clear();
-        hits.push_back(ShardHit{o, j, std::move(mappings)});
       }
     }
     step.Publish(counted);

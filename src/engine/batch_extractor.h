@@ -95,10 +95,9 @@ class HitList {
 };
 
 /// A materializing call's output for one extractor (or one fleet plan).
-/// A reused result (ExtractInto, ExtractMultiInto) recycles only its
-/// previous hits — their mappings' storage goes back to the extracting
-/// threads' pools — so what a call costs and holds grows with its hits,
-/// not with corpus size × outputs.
+/// A reused result (ExtractInto, ExtractMultiInto) has its hits replaced,
+/// so what a call costs and holds grows with its hits, not with corpus
+/// size × outputs.
 struct BatchResult {
   /// per_doc[i]: sorted mappings of document i (corpus position, or store
   /// document id for an indexed call); per_doc.size() is the document
@@ -168,25 +167,19 @@ class BatchExtractor {
   /// Extracts every document of `corpus` under `extractor` — an
   /// ExtractionPlan or a query::CompiledQuery. Blocking; safe to call
   /// repeatedly (the pool is reused across batches — each thread's
-  /// extraction arenas and mapping pool are Reset()/recycled between
-  /// documents, never freed, so steady-state batches perform no evaluator
-  /// heap allocation). Each thread extracts a document into its own
-  /// scratch slot per output and moves only non-empty slots' mappings
-  /// into the result's hits. The extractor and corpus must outlive the call
-  /// (they are borrowed, not copied). Not safe to call concurrently on the
-  /// same BatchExtractor: the per-thread scratch is reused across calls.
+  /// extraction arenas are Reset() between documents, never freed, so
+  /// evaluation's transient state allocates nothing once warm). Each
+  /// thread extracts a document into its own scratch slot per output and
+  /// moves only non-empty slots' mappings into the result's hits, one
+  /// exactly sized vector per (output, matched document). The extractor
+  /// and corpus must outlive the call (they are borrowed, not copied).
+  /// Not safe to call concurrently on the same BatchExtractor: the
+  /// per-thread scratch is reused across calls.
   BatchResult Extract(const DocumentExtractor& extractor,
                       const Corpus& corpus);
 
-  /// Like Extract but refills a caller-owned result. Only the previous
-  /// batch's hits are recycled, each by the thread extracting its
-  /// document's shard: the mappings' storage returns to that thread's
-  /// pool, and the vectors hold the thread's next hits.
-  /// Under repeated batches (the serving loop), steady-state pattern plans
-  /// allocate nothing at all — arenas, hit vectors and mapping entry
-  /// vectors have all reached their high-water marks — and algebra
-  /// queries keep only small per-document operator state (e.g. the join's
-  /// build-side vector).
+  /// Like Extract but refills a caller-owned result: the previous batch's
+  /// hits are replaced by this batch's once every shard is extracted.
   void ExtractInto(const DocumentExtractor& extractor, const Corpus& corpus,
                    BatchResult* result);
 
@@ -230,9 +223,8 @@ class BatchExtractor {
   MultiBatchResult ExtractMulti(const MultiQueryExtractor& fleet,
                                 const Corpus& corpus);
 
-  /// Like ExtractMulti but refills a caller-owned result, recycling the
-  /// previous batch's hits as ExtractInto does (the serving-loop steady
-  /// state allocates nothing).
+  /// Like ExtractMulti but refills a caller-owned result, replacing the
+  /// previous batch's hits as ExtractInto does.
   void ExtractMultiInto(const MultiQueryExtractor& fleet,
                         const Corpus& corpus, MultiBatchResult* result);
 
@@ -307,9 +299,6 @@ class BatchExtractor {
     // documents.
     std::vector<std::vector<Mapping>> slots;
     std::vector<std::vector<Mapping>*> slot_ptrs;
-    // A reused result's emptied hit vectors: the next hits' mappings move
-    // into them, so a steady state allocates none.
-    std::vector<std::vector<Mapping>> spare;
   };
   // One shard's hit of output `output` on the call's document at
   // position `at` (Source::id(at) is its document id).

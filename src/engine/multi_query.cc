@@ -195,21 +195,6 @@ PlanStats MultiQueryExtractor::plan_stats(size_t i) const {
   return s;
 }
 
-std::shared_ptr<const MultiQueryExtractor> CachedFleet::Get() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Read the generation before snapshotting: if a membership change lands
-  // between the two, it bumps the counter past `gen` and the next Get()
-  // rebuilds — stale-forever is impossible.
-  const uint64_t gen = cache_.generation();
-  if (fleet_ == nullptr || built_generation_ != gen) {
-    fleet_ = std::make_shared<const MultiQueryExtractor>(
-        MultiQueryExtractor::FromCache(cache_));
-    rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    built_generation_ = gen;
-  }
-  return fleet_;
-}
-
 std::string MultiQueryExtractor::ToString() const {
   std::string out = "multi-query: " + std::to_string(plans_.size()) +
                     " plans (" + std::to_string(gated_plans_) +

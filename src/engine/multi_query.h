@@ -44,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -165,43 +164,6 @@ class MultiQueryExtractor {
   // Documents offered to the fleet whose shared pass completed, published
   // once per batch shard (and per ExtractAllSortedInto call).
   std::unique_ptr<std::atomic<uint64_t>> documents_;
-};
-
-/// Generation-checked holder of a PlanCache's resident fleet. Building a
-/// MultiQueryExtractor costs a full ResidentPlans() snapshot plus an
-/// Aho–Corasick construction over every gated plan's strongest clause —
-/// previously paid on EVERY serving-loop batch, even when the cache had
-/// not changed at all. Get() instead rebuilds only when
-/// PlanCache::generation() has moved since the last build (a membership
-/// change: insert, eviction, Clear); an unchanged cache returns the
-/// cached fleet with one atomic load and a mutex hop.
-///
-/// The generation is read BEFORE the snapshot: a membership change racing
-/// the build bumps the generation past the recorded one, so the next
-/// Get() conservatively rebuilds — the fleet can lag one batch behind a
-/// concurrent insert (exactly as a FromCache snapshot could) but can
-/// never get stuck stale. Returned fleets are shared_ptr-owned: a caller
-/// mid-extraction keeps its fleet alive across any rebuild.
-class CachedFleet {
- public:
-  /// `cache` is borrowed and must outlive this holder.
-  explicit CachedFleet(const PlanCache& cache) : cache_(cache) {}
-
-  /// The fleet over the cache's current residents, rebuilt only when the
-  /// cache's membership generation changed. Thread-safe.
-  std::shared_ptr<const MultiQueryExtractor> Get();
-
-  /// Fleet constructions performed so far (1 after the first Get()).
-  uint64_t rebuilds() const {
-    return rebuilds_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const PlanCache& cache_;
-  std::mutex mu_;
-  std::shared_ptr<const MultiQueryExtractor> fleet_;  // guarded by mu_
-  uint64_t built_generation_ = 0;                     // guarded by mu_
-  std::atomic<uint64_t> rebuilds_{0};
 };
 
 }  // namespace engine

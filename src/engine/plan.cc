@@ -208,15 +208,10 @@ bool ExtractionPlan::Matches(const Document& doc, PlanScratch* scratch) const {
 }
 
 MappingSet ExtractionPlan::Extract(const Document& doc) const {
-  if (GateRejects(doc, nullptr)) return MappingSet();
-  MappingSet out;
-  {
-    obs::ObsSpan span(Metrics().eval_ns[size_t(info_.evaluator)],
-                      kEvalSpanName[size_t(info_.evaluator)]);
-    out = spanner_.ExtractAllWith(info_.evaluator, doc);
-  }
-  CountEvaluated(out.size());
-  return out;
+  PlanScratch scratch;
+  std::vector<Mapping> out;
+  ExtractSortedInto(doc, &scratch, &out);
+  return MappingSet(std::move(out));
 }
 
 const std::vector<Mapping>& ExtractionPlan::ExtractSorted(

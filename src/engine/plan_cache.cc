@@ -59,7 +59,6 @@ Result<std::shared_ptr<const ExtractionPlan>> PlanCache::GetOrInsert(
       std::piecewise_construct, std::forward_as_tuple(std::move(key)),
       std::forward_as_tuple(plan, NextTick()));
   EvictIfOverCapacity();
-  generation_.fetch_add(1, std::memory_order_release);
   return ins->second.plan;
 }
 
@@ -97,7 +96,6 @@ void PlanCache::EvictIfOverCapacity() {
     }
     entries_.erase(lru);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -114,7 +112,6 @@ PlanCacheStats PlanCache::stats() const {
 void PlanCache::Clear() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   entries_.clear();
-  generation_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace engine

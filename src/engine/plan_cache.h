@@ -73,16 +73,6 @@ class PlanCache {
 
   PlanCacheStats stats() const;
 
-  /// Monotonic counter bumped on every membership change — insert,
-  /// eviction, Clear. A derived structure built from ResidentPlans()
-  /// (the multi-query fleet gate) records the generation it was built at
-  /// and rebuilds only when this has moved, instead of reconstructing on
-  /// every call: see engine::CachedFleet. Recency updates (hits) do NOT
-  /// bump it — they change no membership.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
   /// Drops every resident plan (outstanding shared_ptrs stay valid).
   void Clear();
 
@@ -107,7 +97,6 @@ class PlanCache {
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
   mutable std::atomic<uint64_t> tick_{0};
-  std::atomic<uint64_t> generation_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

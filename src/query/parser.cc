@@ -1,5 +1,6 @@
 #include "query/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <vector>
@@ -10,13 +11,14 @@ namespace query {
 namespace {
 
 // Recursive-descent parser over a cursor; every helper reports errors with
-// the 0-based byte position for tooling-friendly messages.
+// the 0-based byte position for tooling-friendly messages. ParseExpr takes
+// the depth (parser.h) of the node it parses, 1 for the root.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<ExprPtr> Parse() {
-    SPANNERS_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+    SPANNERS_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr(1));
     SkipSpace();
     if (pos_ != text_.size())
       return Error("trailing input after expression");
@@ -85,7 +87,18 @@ class Parser {
     return out;
   }
 
-  Result<ExprPtr> ParseExpr() {
+  // Records that the expression being parsed reaches `depth`, refusing it
+  // past the bound before anything recurses deeper.
+  Status Reach(int depth) {
+    if (depth > kMaxQueryDepth)
+      return Error("expression nests deeper than " +
+                   std::to_string(kMaxQueryDepth) + " levels");
+    reached_ = std::max(reached_, depth);
+    return Status::OK();
+  }
+
+  Result<ExprPtr> ParseExpr(int depth) {
+    SPANNERS_RETURN_NOT_OK(Reach(depth));
     SPANNERS_ASSIGN_OR_RETURN(std::string head, ParseIdent());
     SPANNERS_RETURN_NOT_OK(Expect('('));
     if (head == "rgx") {
@@ -104,13 +117,19 @@ class Parser {
     }
     if (head == "union" || head == "join") {
       std::vector<ExprPtr> parts;
+      const int outer = reached_;
+      reached_ = 0;
       do {
-        SPANNERS_ASSIGN_OR_RETURN(ExprPtr part, ParseExpr());
+        SPANNERS_ASSIGN_OR_RETURN(ExprPtr part, ParseExpr(depth + 1));
         parts.push_back(std::move(part));
       } while (Consume(','));
       SPANNERS_RETURN_NOT_OK(Expect(')'));
       if (parts.size() < 2)
         return Error(head + "() needs at least two operands");
+      // The fold below nests the first operands n − 2 nodes deeper than
+      // they were parsed.
+      SPANNERS_RETURN_NOT_OK(Reach(reached_ + int(parts.size()) - 2));
+      reached_ = std::max(outer, reached_);
       ExprPtr e = parts[0];
       for (size_t i = 1; i < parts.size(); ++i)
         e = head == "union" ? SpannerExpr::Union(std::move(e), parts[i])
@@ -118,7 +137,7 @@ class Parser {
       return e;
     }
     if (head == "project") {
-      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr());
+      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr(depth + 1));
       VarSet keep;
       while (Consume(',')) {
         SPANNERS_ASSIGN_OR_RETURN(std::string name, ParseIdent());
@@ -128,7 +147,7 @@ class Parser {
       return SpannerExpr::Project(std::move(input), std::move(keep));
     }
     if (head == "eq") {
-      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr());
+      SPANNERS_ASSIGN_OR_RETURN(ExprPtr input, ParseExpr(depth + 1));
       SPANNERS_RETURN_NOT_OK(Expect(','));
       SPANNERS_ASSIGN_OR_RETURN(std::string x, ParseIdent());
       SPANNERS_RETURN_NOT_OK(Expect(','));
@@ -143,6 +162,9 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  // The deepest depth reached so far by the operands being parsed (each
+  // union or join starts it afresh and folds it back into its caller's).
+  int reached_ = 0;
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "rgx/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 
@@ -22,12 +23,14 @@ int HexVal(char c) {
 }
 
 /// Recursive-descent parser over a string_view with one-char lookahead.
+/// Each Parse* takes the level (parser.h) of the node it parses, 1 for the
+/// whole pattern.
 class Parser {
  public:
   explicit Parser(std::string_view input) : input_(input) {}
 
   Result<RgxPtr> Parse() {
-    SPANNERS_ASSIGN_OR_RETURN(RgxPtr e, ParseAlt());
+    SPANNERS_ASSIGN_OR_RETURN(RgxPtr e, ParseAlt(1));
     if (!AtEnd()) return Error("unexpected character");
     return e;
   }
@@ -50,28 +53,47 @@ class Parser {
                                    std::move(msg));
   }
 
-  Result<RgxPtr> ParseAlt() {
+  // Records that the subtree being parsed reaches `level`, refusing it
+  // past the bound before anything recurses deeper.
+  Status Reach(int level) {
+    if (level > kMaxRgxDepth)
+      return Error("pattern nests deeper than " +
+                   std::to_string(kMaxRgxDepth) + " levels");
+    reached_ = std::max(reached_, level);
+    return Status::OK();
+  }
+
+  Result<RgxPtr> ParseAlt(int level) {
+    SPANNERS_RETURN_NOT_OK(Reach(level));
     std::vector<RgxPtr> parts;
-    SPANNERS_ASSIGN_OR_RETURN(RgxPtr first, ParseCat());
+    SPANNERS_ASSIGN_OR_RETURN(RgxPtr first, ParseCat(level + 1));
     parts.push_back(std::move(first));
     while (Accept('|')) {
-      SPANNERS_ASSIGN_OR_RETURN(RgxPtr next, ParseCat());
+      SPANNERS_ASSIGN_OR_RETURN(RgxPtr next, ParseCat(level + 1));
       parts.push_back(std::move(next));
     }
     return RgxNode::Disj(std::move(parts));
   }
 
-  Result<RgxPtr> ParseCat() {
+  Result<RgxPtr> ParseCat(int level) {
+    SPANNERS_RETURN_NOT_OK(Reach(level));
     std::vector<RgxPtr> parts;
     while (!AtEnd() && Peek() != '|' && Peek() != ')' && Peek() != '}') {
-      SPANNERS_ASSIGN_OR_RETURN(RgxPtr f, ParseFactor());
+      SPANNERS_ASSIGN_OR_RETURN(RgxPtr f, ParseFactor(level + 1));
       parts.push_back(std::move(f));
     }
     return RgxNode::Concat(std::move(parts));
   }
 
-  Result<RgxPtr> ParseFactor() {
-    SPANNERS_ASSIGN_OR_RETURN(RgxPtr atom, ParseAtom());
+  Result<RgxPtr> ParseFactor(int level) {
+    const int outer = reached_;
+    reached_ = 0;
+    SPANNERS_ASSIGN_OR_RETURN(RgxPtr atom, ParseAtom(level));
+    // Each quantifier puts the atom's whole subtree one level deeper (a
+    // '+' builds two tree levels, a concatenation over a star, so the
+    // tree is at most twice as deep as the levels counted).
+    const int atom_reached = reached_;
+    int lift = 0;
     while (!AtEnd()) {
       if (Accept('*')) {
         atom = RgxNode::Star(std::move(atom));
@@ -82,19 +104,22 @@ class Parser {
       } else {
         break;
       }
+      SPANNERS_RETURN_NOT_OK(Reach(atom_reached + ++lift));
     }
+    reached_ = std::max(outer, reached_);
     return atom;
   }
 
-  Result<RgxPtr> ParseAtom() {
+  Result<RgxPtr> ParseAtom(int level) {
     if (AtEnd()) return Error("expected an atom");
     char c = Peek();
     if (c == '(') {
       Next();
-      SPANNERS_ASSIGN_OR_RETURN(RgxPtr inner, ParseAlt());
+      SPANNERS_ASSIGN_OR_RETURN(RgxPtr inner, ParseAlt(level));
       if (!Accept(')')) return Error("expected ')'");
       return inner;
     }
+    SPANNERS_RETURN_NOT_OK(Reach(level));
     if (c == '[') {
       Next();
       return ParseClass();
@@ -117,7 +142,7 @@ class Parser {
       if (!AtEnd() && Peek() == '{') {
         std::string name(input_.substr(start, pos_ - start));
         Next();  // '{'
-        SPANNERS_ASSIGN_OR_RETURN(RgxPtr body, ParseAlt());
+        SPANNERS_ASSIGN_OR_RETURN(RgxPtr body, ParseAlt(level + 1));
         if (!Accept('}')) return Error("expected '}' closing variable");
         return RgxNode::Var(name, std::move(body));
       }
@@ -202,6 +227,9 @@ class Parser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  // The deepest level reached so far by the factor being parsed (each
+  // ParseFactor starts it afresh and folds it back into its caller's).
+  int reached_ = 0;
 };
 
 }  // namespace

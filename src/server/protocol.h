@@ -24,10 +24,14 @@
 //                  row label); "header":true prepends the session's
 //                  header block.
 //   extract_batch  {"op":"extract_batch","id":5,"format":"tsv",
-//                   "header":true}
+//                   "header":true,"all":false}
 //                  The session fleet over the server's held corpus, with
 //                  posting-index gating when the server was started with
 //                  --index. Rows stream back in chunks (below).
+//                  "all":true runs a fleet of every plan resident in the
+//                  server's PlanCache when the request arrives (key
+//                  order, whichever session registered it), built for
+//                  this request; the session needs no plan of its own.
 //   stats          {"op":"stats","id":6}
 //                  → {"id":6,"ok":true,"report":{…EngineReport JSON…},
 //                     "text":"…EngineReport text…"}

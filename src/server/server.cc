@@ -62,8 +62,7 @@ struct Server::Connection {
   };
   // Session state (I/O thread only). The fleet is the lazily-built
   // MultiQueryExtractor over regs in registration order, reset on every
-  // register/unregister — the same rebuild-only-on-change trick as
-  // engine::CachedFleet, per session.
+  // register/unregister.
   std::vector<Registration> regs;
   int64_t next_handle = 1;
   std::shared_ptr<const engine::MultiQueryExtractor> fleet;
@@ -176,7 +175,6 @@ Server::Server(ServerOptions options, engine::Corpus corpus)
     : options_(std::move(options)),
       corpus_(std::move(corpus)),
       cache_(engine::PlanCacheOptions{options_.plan_cache_capacity}),
-      cached_fleet_(cache_),
       batch_(engine::BatchOptions{options_.num_threads}) {
   InitMetrics();
 }
@@ -187,7 +185,6 @@ Server::Server(ServerOptions options, storage::SegmentStore store,
       store_(std::move(store)),
       index_(std::move(index)),
       cache_(engine::PlanCacheOptions{options_.plan_cache_capacity}),
-      cached_fleet_(cache_),
       batch_(engine::BatchOptions{options_.num_threads}) {
   InitMetrics();
 }
@@ -554,10 +551,10 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
       item.op = WorkOp::kExtractBatch;
     }
     if (item.op == WorkOp::kExtractBatch && req.BoolOr("all", false)) {
-      // The cache-wide resident fleet (key-sorted), via the
-      // generation-checked CachedFleet — rebuilt only when the cache's
-      // membership changed since the last "all" batch.
-      item.fleet = cached_fleet_.Get();
+      // The cache's residents now, key-sorted. Building the fleet costs
+      // microseconds against the milliseconds of the batch it then scans.
+      item.fleet = std::make_shared<const engine::MultiQueryExtractor>(
+          engine::MultiQueryExtractor::FromCache(cache_));
     } else {
       item.fleet = SessionFleet(conn);
       if (item.fleet == nullptr) {

@@ -1,8 +1,8 @@
 // spanexd's resident extraction service: one persistent process owning
-// the PlanCache, the generation-checked fleet (engine::CachedFleet), and
-// a corpus — in-memory, or an mmap'd SegmentStore with its optional
-// trigram posting index — serving concurrent clients over a local
-// AF_UNIX stream socket with the JSONL protocol of server/protocol.h.
+// the PlanCache and a corpus — in-memory, or an mmap'd SegmentStore with
+// its optional trigram posting index — serving concurrent clients over a
+// local AF_UNIX stream socket with the JSONL protocol of
+// server/protocol.h.
 //
 // Architecture (two threads plus the extraction pool's workers):
 //
@@ -189,7 +189,7 @@ class Server {
     engine::OutputFormat format = engine::OutputFormat::kTsv;
     bool header = false;
     /// Immutable fleet snapshot taken at admission (session plans, or the
-    /// cache-wide CachedFleet for "all" batches).
+    /// cache's current residents for "all" batches).
     std::shared_ptr<const engine::MultiQueryExtractor> fleet;
     /// Admission time (an inline extract keeps it if its fuse trips).
     uint64_t enqueue_ns = 0;
@@ -272,7 +272,6 @@ class Server {
   std::optional<storage::NgramIndex> index_;
 
   engine::PlanCache cache_;
-  engine::CachedFleet cached_fleet_;
   engine::BatchExtractor batch_;
 
   void InitMetrics();

@@ -1,7 +1,7 @@
 // Tests for the arena memory subsystem: chunked growth and Reset() reuse
 // of Arena, ArenaVector semantics, and the flat open-addressing sets
-// (FlatKeySet, FlatMappingSet) including collision, tombstone and rehash
-// behavior, cross-checked against the std-based MappingSet.
+// (FlatKeySet, FlatMappingSet) including collision and rehash behavior,
+// cross-checked against the std-based MappingSet.
 #include "common/arena.h"
 
 #include <gtest/gtest.h>
@@ -216,81 +216,6 @@ TEST(FlatMappingSetTest, CollisionsResolvedByProbing) {
   EXPECT_GT(set.rehash_count(), 0u);
 }
 
-TEST(FlatMappingSetTest, EraseplantsTombstoneAndReinsertWorks) {
-  Arena arena;
-  FlatMappingSet set(&arena);
-  auto m1 = Tuples({{1, 1, 2}});
-  auto m2 = Tuples({{1, 2, 3}});
-  auto m3 = Tuples({{1, 3, 4}});
-  set.Insert(m1.data(), 1);
-  set.Insert(m2.data(), 1);
-  set.Insert(m3.data(), 1);
-
-  EXPECT_TRUE(set.Erase(m2.data(), 1));
-  EXPECT_FALSE(set.Erase(m2.data(), 1));  // already gone
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.tombstones(), 1u);
-  EXPECT_FALSE(set.Contains(m2.data(), 1));
-  EXPECT_TRUE(set.Contains(m1.data(), 1));
-  EXPECT_TRUE(set.Contains(m3.data(), 1));
-
-  // Reinsert after erase: the insert reuses the first tombstone on its
-  // probe path (group probing keeps lookups correct past tombstones).
-  EXPECT_TRUE(set.Insert(m2.data(), 1));
-  EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.tombstones(), 0u);
-  EXPECT_TRUE(set.Contains(m2.data(), 1));
-}
-
-TEST(FlatMappingSetTest, RandomizedInsertEraseAgreesWithReference) {
-  std::mt19937 rng(11);
-  Arena arena;
-  FlatMappingSet flat(&arena, /*initial_capacity=*/8);
-  std::set<std::pair<uint32_t, uint32_t>> reference;  // (begin, end) of var 1
-  for (int op = 0; op < 5000; ++op) {
-    uint32_t b = rng() % 40 + 1;
-    uint32_t e = b + rng() % 4;
-    SpanTuple t{1, b, e};
-    switch (rng() % 3) {
-      case 0:
-        EXPECT_EQ(flat.Insert(&t, 1), reference.insert({b, e}).second)
-            << "op " << op;
-        break;
-      case 1:
-        EXPECT_EQ(flat.Erase(&t, 1), reference.erase({b, e}) > 0)
-            << "op " << op;
-        break;
-      case 2:
-        EXPECT_EQ(flat.Contains(&t, 1), reference.count({b, e}) > 0)
-            << "op " << op;
-        break;
-    }
-    ASSERT_EQ(flat.size(), reference.size()) << "op " << op;
-  }
-}
-
-TEST(FlatMappingSetTest, RehashSweepsTombstones) {
-  Arena arena;
-  FlatMappingSet set(&arena, /*initial_capacity=*/8);
-  std::vector<std::vector<SpanTuple>> rows;
-  for (uint32_t i = 0; i < 50; ++i)
-    rows.push_back(Tuples({{7, i + 1, i + 5}}));
-  for (auto& r : rows) set.Insert(r.data(), 1);
-  for (size_t i = 0; i < rows.size(); i += 2) set.Erase(rows[i].data(), 1);
-  EXPECT_GT(set.tombstones(), 0u);
-
-  // Grow past the load threshold to force a rehash.
-  std::vector<std::vector<SpanTuple>> more;
-  for (uint32_t i = 100; i < 200; ++i)
-    more.push_back(Tuples({{7, i + 1, i + 5}}));
-  for (auto& r : more) set.Insert(r.data(), 1);
-
-  EXPECT_EQ(set.tombstones(), 0u);  // swept by the rehash
-  for (size_t i = 0; i < rows.size(); ++i)
-    EXPECT_EQ(set.Contains(rows[i].data(), 1), i % 2 == 1) << i;
-  for (auto& r : more) EXPECT_TRUE(set.Contains(r.data(), 1));
-}
-
 TEST(FlatMappingSetTest, ForEachVisitsEveryLiveMappingOnce) {
   Arena arena;
   FlatMappingSet set(&arena);
@@ -298,16 +223,13 @@ TEST(FlatMappingSetTest, ForEachVisitsEveryLiveMappingOnce) {
     auto m = Tuples({{3, i + 1, i + 2}});
     set.Insert(m.data(), 1);
   }
-  auto erased = Tuples({{3, 5, 6}});
-  set.Erase(erased.data(), 1);
 
   std::set<uint32_t> begins;
   set.ForEach([&](const SpanTuple* t, uint32_t n) {
     ASSERT_EQ(n, 1u);
     EXPECT_TRUE(begins.insert(t->begin).second) << "visited twice";
   });
-  EXPECT_EQ(begins.size(), 29u);
-  EXPECT_EQ(begins.count(5), 0u);
+  EXPECT_EQ(begins.size(), 30u);
 }
 
 TEST(FlatMappingSetTest, AgreesWithMappingSetOnRandomInput) {
@@ -336,7 +258,7 @@ TEST(FlatMappingSetTest, AgreesWithMappingSetOnRandomInput) {
 
 // ---- arena-backed evaluation matches the wrapper API --------------------
 
-TEST(ArenaEvalTest, RunEvalIntoMatchesRunEvalAndIsReusable) {
+TEST(ArenaEvalTest, RunEvalToMatchesRunEvalAndIsReusable) {
   Spanner s = Spanner::FromPattern(
                   ".*Seller: (x{[^,\\n]*}), Tax: (y{[0-9]*}).*")
                   .ValueOrDie();
@@ -348,7 +270,8 @@ TEST(ArenaEvalTest, RunEvalIntoMatchesRunEvalAndIsReusable) {
   Arena arena;  // one arena reused across all documents
   for (const Document& doc : docs) {
     std::vector<Mapping> got;
-    RunEvalInto(s.va(), doc, &arena, &got);
+    VectorSink sink(&got);
+    RunEvalTo(s.va(), doc, &arena, sink);
     std::sort(got.begin(), got.end());
     std::vector<Mapping> want = RunEval(s.va(), doc).Sorted();
     EXPECT_EQ(got, want) << doc.text();

@@ -4,7 +4,6 @@
 // per-plan skip counters, and the PlanCache-resident entry point.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <random>
 #include <string>
@@ -379,91 +378,6 @@ TEST(MultiQueryTest, UngateablePlansStillExtractEverything) {
   EXPECT_EQ(result.per_plan[1].MatchedDocuments(), 1u);
   PlanStats s0 = fleet.plan_stats(0);
   EXPECT_EQ(s0.ac_gate_skipped, 0u);  // no clauses: AC cannot reject it
-}
-
-// CachedFleet must reuse the built fleet while the cache's membership is
-// unchanged — hits bump recency, not the generation — and rebuild exactly
-// when a plan is inserted, evicted or the cache cleared.
-TEST(MultiQueryTest, CachedFleetRebuildsOnlyWhenMembershipChanges) {
-  PlanCache cache;
-  CachedFleet cached(cache);
-
-  std::shared_ptr<const MultiQueryExtractor> f0 = cached.Get();
-  EXPECT_EQ(f0->num_plans(), 0u);
-  EXPECT_EQ(cached.rebuilds(), 1u);
-  EXPECT_EQ(cached.Get(), f0);  // no change: same fleet, no rebuild
-  EXPECT_EQ(cached.rebuilds(), 1u);
-
-  cache.GetOrCompile(".*aaa(x{b*}).*").ValueOrDie();
-  std::shared_ptr<const MultiQueryExtractor> f1 = cached.Get();
-  EXPECT_EQ(cached.rebuilds(), 2u);
-  EXPECT_EQ(f1->num_plans(), 1u);
-  EXPECT_NE(f1, f0);
-
-  // Cache HITS must not invalidate the fleet.
-  for (int i = 0; i < 5; ++i)
-    cache.GetOrCompile(".*aaa(x{b*}).*").ValueOrDie();
-  EXPECT_EQ(cached.Get(), f1);
-  EXPECT_EQ(cached.rebuilds(), 2u);
-
-  cache.GetOrCompile(".*ccc(x{d*}).*").ValueOrDie();
-  EXPECT_EQ(cached.Get()->num_plans(), 2u);
-  EXPECT_EQ(cached.rebuilds(), 3u);
-
-  cache.Clear();
-  EXPECT_EQ(cached.Get()->num_plans(), 0u);
-  EXPECT_EQ(cached.rebuilds(), 4u);
-  // The fleet handed out before Clear stays usable (shared ownership).
-  EXPECT_EQ(f1->num_plans(), 1u);
-}
-
-// Interleaved inserts and capacity evictions: after every membership
-// change the cached fleet's output must be identical to a fleet built
-// fresh from ResidentPlans() — the cached path may only skip rebuilds,
-// never serve a stale membership.
-TEST(MultiQueryTest, CachedFleetInterleavedInsertEvictStaysIdentical) {
-  PlanCacheOptions po;
-  po.capacity = 3;  // small: inserts beyond 3 evict the LRU plan
-  PlanCache cache(po);
-  CachedFleet cached(cache);
-  Corpus corpus = Corpus::FromDelimited(
-      "tag00 payload\ntag01 payload\ntag02 payload\ntag03 payload\n"
-      "tag04 payload\nnothing here\ntag02 again and tag04");
-  BatchExtractor extractor;
-
-  uint64_t last_generation = cache.generation();
-  for (int step = 0; step < 12; ++step) {
-    char pattern[64];
-    std::snprintf(pattern, sizeof(pattern), ".*tag%02d (x{[a-z]+}).*",
-                  step % 5);
-    cache.GetOrCompile(pattern).ValueOrDie();
-    if (step % 3 == 2)  // re-touch an old pattern: hit, membership intact
-      cache.GetOrCompile(".*tag00 (x{[a-z]+}).*").ValueOrDie();
-
-    std::shared_ptr<const MultiQueryExtractor> got = cached.Get();
-    MultiQueryExtractor want = MultiQueryExtractor::FromCache(cache);
-    ASSERT_EQ(got->num_plans(), want.num_plans()) << "step " << step;
-    MultiBatchResult got_r = extractor.ExtractMulti(*got, corpus);
-    MultiBatchResult want_r = extractor.ExtractMulti(want, corpus);
-    ASSERT_EQ(got_r.per_plan.size(), want_r.per_plan.size());
-    for (size_t p = 0; p < want_r.per_plan.size(); ++p)
-      ASSERT_EQ(Dense(got_r.per_plan[p].per_doc),
-                Dense(want_r.per_plan[p].per_doc))
-          << "step " << step << " plan " << p;
-
-    // Sanity on the generation contract itself: membership changed on
-    // insert/evict steps, so the counter moved; size never exceeds cap.
-    EXPECT_LE(cache.stats().size, po.capacity);
-    EXPECT_GE(cache.generation(), last_generation);
-    last_generation = cache.generation();
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // 5 distinct patterns cycled through a 3-slot cache: far fewer rebuilds
-  // than Get() calls would be wrong here (every insert evicts), but the
-  // hit-only steps must not have forced extra rebuilds beyond membership
-  // changes. Upper bound: one rebuild per Get() call; the real assertion
-  // is identity above — this pins that rebuilds at least happened.
-  EXPECT_GE(cached.rebuilds(), 5u);
 }
 
 }  // namespace

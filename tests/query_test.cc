@@ -180,6 +180,52 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("rgx(\"[\")").ok());  // RGX error propagates
 }
 
+// Depth (parser.h): a leaf and each project or eq count one node, a
+// union or join of n operands n − 1. At the bound an expression parses,
+// compiles and extracts; one node deeper it is refused.
+TEST(QueryParserTest, ExpressionAtTheDepthBoundCompilesAndExtracts) {
+  ASSERT_EQ(kMaxQueryDepth, 1000);
+  const std::string leaf = "rgx(\"x{a}\")";
+  // k nested two-operand unions put the innermost leaves at depth k + 1;
+  // one n-operand union puts its first operands at depth n.
+  auto nested = [&](int k) {
+    std::string text;
+    for (int i = 0; i < k; ++i) text += "union(" + leaf + ", ";
+    text += leaf;
+    for (int i = 0; i < k; ++i) text += ")";
+    return text;
+  };
+  auto flat = [&](int n) {
+    std::string text = "union(" + leaf;
+    for (int i = 1; i < n; ++i) text += ", " + leaf;
+    return text + ")";
+  };
+  auto projected = [&](int k) {
+    std::string text;
+    for (int i = 0; i < k; ++i) text += "project(";
+    text += leaf;
+    for (int i = 0; i < k; ++i) text += ", x)";
+    return text;
+  };
+  const std::string at_bound[] = {nested(999), flat(1000), projected(999)};
+  for (const std::string& text : at_bound) {
+    ExprPtr e = MustParse(text);
+    ASSERT_NE(e, nullptr);
+    const Document doc("a");
+    EXPECT_EQ(ExpectMatchesOracle(e, doc), 1u) << text.substr(0, 40);
+  }
+  const std::string past_bound[] = {nested(1000), flat(1001), projected(1000),
+                                    nested(20000)};
+  for (const std::string& text : past_bound) {
+    Result<ExprPtr> r = ParseQuery(text);
+    ASSERT_FALSE(r.ok()) << text.substr(0, 40);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("deeper than 1000 levels"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 // ---- pushdown shape -----------------------------------------------------
 
 // scan_plans() lists one plan per scan leaf, in PlanString() order; under

@@ -1,6 +1,10 @@
-// Parser + printer tests, including round-trip properties.
+// Parser + printer tests, including round-trip properties and the nesting
+// bound.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "engine/plan.h"
 #include "rgx/analysis.h"
 #include "rgx/ast.h"
 #include "rgx/parser.h"
@@ -158,6 +162,76 @@ TEST(RgxParserTest, ErrorMessagesCarryPosition) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("position 2"), std::string::npos)
       << r.status().ToString();
+}
+
+// ---- nesting bound ------------------------------------------------------
+// Levels (parser.h): the pattern's alternation and concatenation are 1 and
+// 2, so a top-level atom is at 3; a group adds 2, a variable 3 (itself and
+// its body's alternation and concatenation) and a quantifier 1.
+
+std::string Repeat(std::string_view piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+// `groups` groups around `vars` nested variables v0, v1, … around `a`
+// followed by `stars` quantifiers: 3 + 2·groups + 3·vars + stars levels.
+std::string Nested(int groups, int vars, int stars) {
+  std::string open = Repeat("(", groups), close = Repeat(")", groups);
+  for (int v = 0; v < vars; ++v) {
+    open += "v" + std::to_string(v) + "{";
+    close.insert(0, "}");
+  }
+  return open + "a" + Repeat("*", stars) + close;
+}
+
+void ExpectRefusedAsTooDeep(const std::string& pattern) {
+  Result<RgxPtr> r = ParseRgx(pattern);
+  ASSERT_FALSE(r.ok()) << pattern.size() << "-byte pattern parsed";
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find(
+                "deeper than " + std::to_string(kMaxRgxDepth) + " levels"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+// At the bound a pattern parses, compiles through every analysis pass and
+// extracts; the same shape one level deeper is refused.
+TEST(RgxParserTest, PatternAtTheDepthBoundCompilesAndExtracts) {
+  ASSERT_EQ(kMaxRgxDepth, 1000);
+  struct Shape {
+    const char* what;
+    int groups, vars, stars;  // 3 + 2·groups + 3·vars + stars levels
+  };
+  const Shape shapes[] = {{"groups around v0{a}", 497, 1, 0},
+                          {"groups around nested variables", 483, 10, 1},
+                          {"quantifiers after v0{a}", 0, 1, 994}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.what);
+    const std::string pattern = Nested(shape.groups, shape.vars, shape.stars);
+    Result<engine::ExtractionPlan> plan =
+        engine::ExtractionPlan::Compile(pattern);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const MappingSet got = plan.value().Extract(Document("a"));
+    ASSERT_EQ(got.size(), 1u);
+    const Mapping& m = *got.begin();
+    EXPECT_EQ(m.size(), size_t(shape.vars));
+    EXPECT_TRUE(m.Get(Variable::Intern("v0")) == Span(1, 2)) << m.size();
+
+    ExpectRefusedAsTooDeep(Nested(shape.groups, shape.vars, shape.stars + 1));
+  }
+}
+
+// Far past the bound the parser refuses before it recurses or builds the
+// tree, so neither parsing nor freeing it can exhaust the stack.
+TEST(RgxParserTest, VeryDeepPatternsAreRefused) {
+  ExpectRefusedAsTooDeep(Repeat("(", 100000) + "a" + Repeat(")", 100000));
+  ExpectRefusedAsTooDeep(Repeat("x{", 100000) + "a" + Repeat("}", 100000));
+  ExpectRefusedAsTooDeep("a" + Repeat("*", 100000));
+  ExpectRefusedAsTooDeep("a" + Repeat("+?", 50000));
+  // Unbalanced: only the open nesting counts, and it is refused early.
+  ExpectRefusedAsTooDeep(Repeat("(", 100000));
 }
 
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};

@@ -211,8 +211,8 @@ TEST(ServerTest, ExtractBatchFleetByteIdentical) {
   }
 }
 
-// extract_batch {"all":true} serves the cache-wide resident fleet — the
-// CachedFleet over PlanCache::ResidentPlans (key order), not the session's
+// extract_batch {"all":true} serves the cache-wide resident fleet — built
+// over PlanCache::ResidentPlans (key order), not the session's
 // registration order.
 TEST(ServerTest, ExtractBatchAllResidentUsesCacheFleet) {
   RunningServer rs(ServerOptions{});
@@ -246,6 +246,60 @@ TEST(ServerTest, ExtractBatchAllResidentUsesCacheFleet) {
                                             corpus[i]);
       });
   EXPECT_EQ(served, expected);
+}
+
+// An "all" batch's fleet is the cache's residents when the request
+// arrives: a pattern another connection registered in between shows up
+// in the next "all" batch's rows.
+TEST(ServerTest, ExtractBatchAllSeesPatternsOtherSessionsRegistered) {
+  RunningServer rs(ServerOptions{});
+  Client first = rs.MustConnect();
+  Client second = rs.MustConnect();
+  ASSERT_TRUE(first.Register(kErrPattern).ok());
+  const Corpus corpus = TestCorpus();
+  EXPECT_EQ(CollectRows(first, OutputFormat::kTsv, true, true, nullptr),
+            OfflineOutput({kErrPattern}, corpus, OutputFormat::kTsv, true));
+
+  ASSERT_TRUE(second.Register(kWarnPattern).ok());
+  // Key order: ".*ERR …" sorts before ".*WARN …".
+  for (OutputFormat format : {OutputFormat::kTsv, OutputFormat::kJson}) {
+    EXPECT_EQ(CollectRows(first, format, true, true, nullptr),
+              OfflineOutput({kErrPattern, kWarnPattern}, corpus, format,
+                            true));
+  }
+}
+
+// A pattern nested past the parser's bound answers InvalidArgument rather
+// than exhausting the I/O thread's stack, and the same connection still
+// answers ping, register and extract.
+TEST(ServerTest, DeepRegisterIsRefusedAndTheConnectionServesOn) {
+  RunningServer rs(ServerOptions{});
+  Client client = rs.MustConnect();
+  const std::string deep[] = {
+      std::string(100000, '(') + "a" + std::string(100000, ')'),
+      "a" + std::string(100000, '*')};
+  for (const std::string& pattern : deep) {
+    Result<int64_t> handle = client.Register(pattern);
+    ASSERT_FALSE(handle.ok());
+    EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument)
+        << handle.status().ToString();
+    EXPECT_TRUE(client.Ping().ok());
+  }
+
+  ASSERT_TRUE(client.Register(kErrPattern).ok());
+  const std::string doc = "ERR 123 alpha beta";
+  std::string served;
+  Result<Client::ExtractSummary> summary = client.Extract(
+      doc, /*doc_index=*/0, OutputFormat::kTsv, /*header=*/true,
+      [&](const std::string& row) {
+        served += row;
+        served += '\n';
+      });
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  Corpus one;
+  one.Add(Document(doc));
+  EXPECT_EQ(served, OfflineOutput({kErrPattern}, one, OutputFormat::kTsv,
+                                  true));
 }
 
 // Single-document extract against the session fleet: same rows the batch
